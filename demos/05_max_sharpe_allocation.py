@@ -1,8 +1,8 @@
 """Long-only maximum-Sharpe allocation, cross-checked against a grid search.
 
 Shows the closed-form two-asset tangency case, the behavior on a dominant
-asset, the tie-break toward the uniform vector, and the min-variance fallback
-when nothing beats the risk-free rate.
+asset, the minimum-norm tie rule on identical assets, and the min-variance
+fallback when nothing beats the risk-free rate.
 
 Run: python3 demos/05_max_sharpe_allocation.py
 """
@@ -29,7 +29,8 @@ assert np.abs(v - [1 / 3, 2 / 3]).max() < 1e-4
 m = MomentEstimate(np.array([0.15, -0.02]), np.diag([0.02, 0.06]), 10)
 show("dominant first asset:", m)
 
-# 3. exchangeable assets tie; the solver prefers the uniform vector
+# 3. exchangeable assets tie (singular covariance); the solver returns the
+#    minimum-norm optimum, which shares weight equally
 m = MomentEstimate(np.array([0.1, 0.1, 0.1]), np.full((3, 3), 0.05), 10)
 show("identical assets (tie-break):", m)
 

@@ -167,8 +167,11 @@ class ModelBundle:
         return len(self.tickers)
 
 
-def build_bundle(config: TrainConfig, tickers) -> ModelBundle:
-    """Fresh bundle with seeded parameter initialization (not yet trained)."""
+def build_bundle(config: TrainConfig, tickers, proposer: MlpNetwork | None = None) -> ModelBundle:
+    """Fresh bundle with seeded parameter initialization (not yet trained).
+
+    A hybrid kind in ``proposer_mode="network"`` needs its trained ``proposer``.
+    """
     tickers = tuple(tickers)
     n = len(tickers)
     cond_role = "encoder" if config.is_acgan else "conditioner"
@@ -185,7 +188,8 @@ def build_bundle(config: TrainConfig, tickers) -> ModelBundle:
         decoder = build_network("decoder", n, config.h, config.f, config.m)
         init_parameters(decoder, _rng(config.seed, "init", "decoder"))
     return ModelBundle(config=config, tickers=tickers, conditioner=conditioner,
-                       simulator=simulator, discriminator=discriminator, decoder=decoder)
+                       simulator=simulator, discriminator=discriminator, decoder=decoder,
+                       proposer=proposer)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +465,11 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     if train_frame.day_count < config.w:
         raise ValidationError(
             f"training frame has {train_frame.day_count} days, need at least w={config.w}")
-    bundle = build_bundle(config, train_frame.tickers)
+    proposer, proposer_mse = None, float("nan")
     if config.is_hybrid and config.proposer_mode == "network":
-        bundle.proposer, bundle.proposer_mse = train_proposer(train_frame, config)
+        proposer, proposer_mse = train_proposer(train_frame, config)
+    bundle = build_bundle(config, train_frame.tickers, proposer=proposer)
+    bundle.proposer_mse = proposer_mse
 
     optim = {name: AdamState.for_parameters(net.parameters(), lr=config.lr,
                                             beta1=config.beta1, beta2=config.beta2,
@@ -610,15 +616,18 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 def load_bundle(path) -> ModelBundle:
     """Inverse of :func:`save_bundle` (exact parameter round trip)."""
     components, meta = load_networks(path)
-    if meta.get("kind") != "model-bundle":
-        raise ValidationError(f"{path}: archive does not contain a model bundle")
-    config = TrainConfig(**meta["config"])
-    mse = meta.get("proposer_mse")
-    return ModelBundle(config=config, tickers=tuple(meta["tickers"]),
-                       conditioner=components["conditioner"],
-                       simulator=components["simulator"],
-                       discriminator=components["discriminator"],
-                       decoder=components.get("decoder"),
-                       proposer=components.get("proposer"),
-                       proposer_mse=float("nan") if mse is None else float(mse),
-                       trained=bool(meta.get("trained", False)))
+    try:
+        if meta.get("kind") != "model-bundle":
+            raise ValidationError(f"{path}: archive does not contain a model bundle")
+        config = TrainConfig(**meta["config"])
+        mse = meta.get("proposer_mse")
+        return ModelBundle(config=config, tickers=tuple(meta["tickers"]),
+                           conditioner=components["conditioner"],
+                           simulator=components["simulator"],
+                           discriminator=components["discriminator"],
+                           decoder=components.get("decoder"),
+                           proposer=components.get("proposer"),
+                           proposer_mse=float("nan") if mse is None else float(mse),
+                           trained=bool(meta.get("trained", False)))
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
+        raise ValidationError(f"{path}: damaged bundle metadata ({err!r})") from None

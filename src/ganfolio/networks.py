@@ -23,6 +23,7 @@ identity at inference.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,9 +111,6 @@ class MlpNetwork:
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def n_dropout_layers(self) -> int:
-        return sum(1 for spec in self.layers if spec.kind == "dropout")
 
 
 def _affine(i, o):
@@ -337,30 +335,40 @@ def save_networks(path, components: dict[str, MlpNetwork], meta: dict) -> None:
 
 
 def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
-    """Read an archive written by :func:`save_networks` (bit-exact round trip)."""
+    """Read an archive written by :func:`save_networks` (bit-exact round trip).
+
+    A damaged archive raises ValidationError.  The format has no checksum, so
+    damage inside the array data loads as different numbers.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"archive not found: {path}")
     raw = path.read_bytes()
     if raw[:len(ARCHIVE_MAGIC)] != ARCHIVE_MAGIC:
         raise ValidationError(f"{path}: not a ganfolio archive")
-    cursor = len(ARCHIVE_MAGIC)
-    header_len = int.from_bytes(raw[cursor:cursor + 8], "little")
-    cursor += 8
-    header = json.loads(raw[cursor:cursor + header_len])
-    if header.get("version") != ARCHIVE_VERSION:
-        raise ValidationError(f"{path}: unsupported archive version {header.get('version')}")
-    data_start = cursor + header_len
-    components = {}
-    for entry in header["components"]:
-        layers = [LayerSpec(kind, int(i), int(o), float(p))
-                  for kind, i, o, p in entry["layers"]]
-        net = MlpNetwork(entry["role"], layers)
-        params = []
-        for spec in entry["arrays"]:
-            start = data_start + spec["offset"]
-            arr = np.frombuffer(raw[start:start + spec["nbytes"]], dtype="<f8")
-            params.append(arr.reshape(spec["shape"]).astype(np.float64))
-        net.set_parameters(params)
-        components[entry["name"]] = net
-    return components, header["meta"]
+    cursor = len(ARCHIVE_MAGIC) + 8
+    data_start = cursor + int.from_bytes(raw[cursor - 8:cursor], "little")
+    if data_start > len(raw):
+        raise ValidationError(f"{path}: archive truncated inside its header")
+    try:
+        header = json.loads(raw[cursor:data_start].decode("utf-8"))
+        if header.get("version") != ARCHIVE_VERSION:
+            raise ValidationError(f"{path}: unsupported archive version {header.get('version')}")
+        components = {}
+        for entry in header["components"]:
+            layers = [LayerSpec(kind, int(i), int(o), float(p))
+                      for kind, i, o, p in entry["layers"]]
+            net = MlpNetwork(entry["role"], layers)
+            params = []
+            for spec in entry["arrays"]:
+                start, nbytes, shape = data_start + spec["offset"], spec["nbytes"], spec["shape"]
+                if nbytes != 8 * math.prod(shape) or not data_start <= start <= len(raw) - nbytes:
+                    raise ValidationError(f"{path}: array {spec['index']} of {entry['name']} "
+                                          f"does not fit the archive or its shape {shape}")
+                arr = np.frombuffer(raw[start:start + nbytes], dtype="<f8")
+                params.append(arr.reshape(shape).astype(np.float64))
+            net.set_parameters(params)
+            components[entry["name"]] = net
+        return components, header["meta"]
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:
+        raise ValidationError(f"{path}: damaged archive header ({err!r})") from None

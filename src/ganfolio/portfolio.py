@@ -1,15 +1,15 @@
 """Portfolio moments, Sharpe ratio, and long-only max-Sharpe allocation.
 
-The allocation problem is
-
-    argmax_v  (v'r - r_f) / sqrt(v' S v)   s.t.  sum(v) = 1, 0 <= v <= 1,
-
-a nonconvex ratio program solved here by projected-gradient ascent on the
-probability simplex with backtracking line search, multi-started from the
-uniform vector and every vertex.  Ties (Sharpe within 1e-9 of the best) break
-toward the candidate closest to the uniform vector.  When no asset earns more
-than the risk-free rate the Sharpe maximizer is degenerate and the solver
-falls back to the minimum-variance point of the simplex.
+Maximizing (v'r - r_f) / sqrt(v'Sv) over {v >= 0, sum(v) = 1} is the convex
+program y = argmin_{y >= 0} y'Sy/2 - c'y with c = r - r_f and v = y/sum(y):
+on the ray t*v the objective bottoms out at -SR(v)^2/2 (Cornuejols & Tutuncu,
+Optimization Methods in Finance).  If no asset beats r_f the solver falls back
+to the minimum-variance point, the same program with c = 1.  Lawson and
+Hanson's active-set method (1974) solves it exactly in finitely many steps.
+Ties: S = 0 gives uniform weights over the assets with the largest c.  A
+singular S != 0 (only hand-built moments; estimate_moments' ridge makes S
+positive definite) gives the minimum-norm solution of S_PP y_P = c_P over the
+zero-gradient assets P if it is nonnegative: identical assets share equally.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from .marketdata import simple_returns
 # many assets) positive definite
 COVARIANCE_RIDGE = 1e-4
 VARIANCE_FLOOR = 1e-16
-TIE_TOLERANCE = 1e-9
-
-_MAX_ITERATIONS = 500
-_CONVERGENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,99 +98,63 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def _cleanup(v: np.ndarray) -> np.ndarray:
-    v = np.clip(v, 0.0, 1.0)
-    return v / v.sum()
+def _long_only_qp(cov: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """y/sum(y) for the y >= 0 minimizing y'Sy/2 - c'y, some c > 0 (Lawson-Hanson).
 
-
-def _ascend(v0, value, grad) -> np.ndarray:
-    """Projected-gradient ascent with backtracking from one start point."""
-    v = v0.copy()
-    current = value(v)
-    step = 1.0
-    for _ in range(_MAX_ITERATIONS):
-        g = grad(v)
-        improved = False
-        trial_step = step
-        for _ in range(40):
-            candidate = project_to_simplex(v + trial_step * g)
-            candidate_value = value(candidate)
-            if candidate_value > current + _CONVERGENCE_TOL * max(1.0, abs(current)):
-                v, current, step = candidate, candidate_value, trial_step * 2.0
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
+    The objective falls at every outer step, so no free set repeats; testing
+    its computed value keeps rounding from cycling.
+    """
+    n = c.size
+    if not cov.any():
+        return (c == c.max()) / np.count_nonzero(c == c.max())
+    y, free, value = np.zeros(n), np.zeros(n, dtype=bool), np.inf
+    while True:
+        grad = c - cov @ y
+        noise = 4 * n * np.finfo(np.float64).eps * (np.abs(c) + np.abs(cov) @ y)
+        eligible = ~free & (grad > noise)  # gradients within rounding count as zero
+        if not eligible.any():
             break
-    return v
+        trial, active = y.copy(), free.copy()
+        active[np.argmax(np.where(eligible, grad, -np.inf))] = True
+        while True:  # solve on the free set, stepping back while an entry is negative
+            z = np.zeros(n)
+            try:
+                z[active] = np.linalg.solve(cov[np.ix_(active, active)], c[active])
+            except np.linalg.LinAlgError:  # some mix of these assets gains at zero variance
+                raise ValidationError("singular covariance: the allocation is unbounded") from None
+            blocking = active & (z < 0)
+            if not blocking.any():
+                break
+            ratios = trial[blocking] / (trial[blocking] - z[blocking])
+            trial += ratios.min() * (z - trial)
+            trial[np.flatnonzero(blocking)[np.argmin(ratios)]] = 0.0
+            active &= trial > 0
+        if not -0.5 * float(c @ z) < value:  # the optimum on a face is -c'z/2
+            break
+        y, free, value = z, active & (z > 0), -0.5 * float(c @ z)
 
-
-def _pick_candidate(candidates, values) -> np.ndarray:
-    best = max(values)
-    n = candidates[0].size
-    uniform = np.full(n, 1.0 / n)
-    tied = [v for v, s in zip(candidates, values) if s >= best - TIE_TOLERANCE]
-    distances = [np.linalg.norm(v - uniform) for v in tied]
-    return tied[int(np.argmin(distances))]
+    # tie rule: the minimum-norm solution over every asset with zero gradient
+    ties = free | (np.abs(grad) <= noise)
+    if (ties > free).any():
+        spread = np.zeros(n)
+        spread[ties] = np.linalg.lstsq(cov[np.ix_(ties, ties)], c[ties], rcond=None)[0]
+        y = spread if (spread >= 0).all() else y
+    return y / y.sum()
 
 
 def min_variance_weights(moments: MomentEstimate) -> np.ndarray:
     """Long-only minimum-variance point of the simplex (fallback objective)."""
-    cov = moments.covariance
-    scale = np.trace(cov) / moments.n_assets
-    if scale > 0:
-        cov = cov / scale
-
-    def value(v):
-        return -float(v @ cov @ v)
-
-    def grad(v):
-        return -2.0 * cov @ v
-
-    candidates, values = _run_multistart(moments.n_assets, value, grad)
-    return _cleanup(_pick_candidate(candidates, values))
-
-
-def _run_multistart(n, value, grad):
-    starts = [np.full(n, 1.0 / n)]
-    for i in range(n):
-        vertex = np.zeros(n)
-        vertex[i] = 1.0
-        starts.append(vertex)
-    candidates = [_ascend(s, value, grad) for s in starts]
-    return candidates, [value(v) for v in candidates]
+    return _long_only_qp(moments.covariance, np.ones(moments.n_assets))
 
 
 def max_sharpe_weights(moments: MomentEstimate, r_f: float = 0.0) -> np.ndarray:
-    """Long-only weights maximizing the Sharpe ratio.
-
-    Deterministic for fixed inputs; the returned vector sums to 1 within
-    1e-10 with entries clamped to [0, 1].
-    """
+    """Long-only max-Sharpe weights: nonnegative, summing to 1 within 1e-10."""
     if not (np.isfinite(moments.mean_returns).all() and np.isfinite(moments.covariance).all()):
         raise ValidationError("non-finite moments")
     excess = moments.mean_returns - r_f
     if not np.any(excess > 0):
         return min_variance_weights(moments)
-
-    # precondition: the argmax is invariant to scaling the covariance
-    cov = moments.covariance
-    scale = np.trace(cov) / moments.n_assets
-    if scale > 0:
-        cov = cov / scale
-
-    def value(v):
-        var = max(float(v @ cov @ v), VARIANCE_FLOOR)
-        return float(v @ excess) / np.sqrt(var)
-
-    def grad(v):
-        var = max(float(v @ cov @ v), VARIANCE_FLOOR)
-        sigma = np.sqrt(var)
-        ret = float(v @ excess)
-        return excess / sigma - ret * (cov @ v) / sigma ** 3
-
-    candidates, values = _run_multistart(moments.n_assets, value, grad)
-    return _cleanup(_pick_candidate(candidates, values))
+    return _long_only_qp(moments.covariance, excess)
 
 
 def markowitz_weights(historical_prices, r_f: float = 0.0) -> np.ndarray:

@@ -88,3 +88,31 @@ def random_psd_instance(rng, n, positive_excess=True, r_f=0.0):
     while positive_excess and not np.any(mu > r_f):
         mu = rng.standard_normal(n) * 0.05
     return mu, cov
+
+
+def exact_long_only(mean_returns, covariance):
+    """Exact long-only allocation at r_f = 0 by enumerating all 2^N - 1 supports.
+
+    On the relative interior of a support P the optimum of
+    ``min y'Sy/2 - c'y, y >= 0`` solves ``S_PP y_P = c_P``, where c is the mean
+    when some mean is positive (max Sharpe) and the ones vector otherwise
+    (min variance).  Every support with a positive solution is a feasible
+    point whose objective is ``-c_P'y_P/2``; the lowest one is the optimum.
+    Returns the weights ``y/sum(y)``.
+    """
+    mu = np.asarray(mean_returns, dtype=np.float64)
+    cov = np.asarray(covariance, dtype=np.float64)
+    n = mu.size
+    c = mu if (mu > 0).any() else np.ones(n)
+    best_value, best_w = np.inf, None
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            s = list(support)
+            y = np.linalg.solve(cov[np.ix_(s, s)], c[s])
+            if not (y > 0).all():
+                continue
+            value = -0.5 * float(c[s] @ y)
+            if value < best_value:
+                best_value, best_w = value, np.zeros(n)
+                best_w[s] = y / y.sum()
+    return best_w

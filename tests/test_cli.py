@@ -92,6 +92,13 @@ class TestTrainCommand:
             outs.append((out / "bundle.gfa").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_hybrid_train_exit_0(self, data_csv, tmp_path):
+        out = tmp_path / "hybrid"
+        assert main(["train", "--data", str(data_csv), "--split-date", SPLIT,
+                     "--model", "hybrid_cgan", "--h", "8", "--f", "4", "--m", "6",
+                     "--epochs", "1", "--seed", "3", "--out", str(out)]) == 0
+        assert (out / "bundle.gfa").exists()
+
     def test_missing_split_date(self, data_csv, tmp_path, capsys):
         assert main(["train", "--data", str(data_csv), "--model", "cgan",
                      *TRAIN_FLAGS, "--out", str(tmp_path / "x")]) == 2
@@ -150,6 +157,13 @@ class TestSimulateCommand:
                          "--n-draws", "2", "--seed", "6", "--out", str(out)]) == 0
             snapshots.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert snapshots[0] == snapshots[1]
+
+    def test_truncated_bundle_exit_2(self, data_csv, trained_run, tmp_path, capsys):
+        bundle = tmp_path / "truncated.gfa"
+        bundle.write_bytes((trained_run / "bundle.gfa").read_bytes()[:-1000])
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT,
+                     "--bundle", str(bundle), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
+        assert "truncated.gfa" in capsys.readouterr().err
 
     def test_divisibility_error_exit_2(self, data_csv, trained_run, tmp_path, capsys):
         code = main(["simulate", "--data", str(data_csv),

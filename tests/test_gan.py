@@ -340,6 +340,27 @@ class TestTrain:
         assert np.array_equal(hybrid_stats.scale, standard.scale)
 
 
+class TestHybridNetworkTraining:
+    @pytest.fixture(scope="class", params=["hybrid_cgan", "hybrid_acgan"])
+    def hybrid(self, request, tiny_frame):
+        return train(tiny_frame, TrainConfig(model_kind=request.param, epochs=1, seed=5, **TINY))
+
+    def test_trains_with_its_proposer(self, hybrid):
+        assert hybrid.trained and hybrid.proposer is not None
+        assert hybrid.config.proposer_mode == "network"
+        assert np.isfinite(hybrid.proposer_mse)
+        assert hybrid.training_log[0].proposer_mse == hybrid.proposer_mse
+
+    def test_roundtrip_keeps_proposer_bit_for_bit(self, hybrid, tmp_path):
+        save_bundle(tmp_path / "h.gfa", hybrid)
+        loaded = load_bundle(tmp_path / "h.gfa")
+        assert loaded.proposer.role == hybrid.proposer.role
+        assert loaded.proposer.layers == hybrid.proposer.layers
+        assert [p.tobytes() for p in loaded.proposer.parameters()] == \
+            [p.tobytes() for p in hybrid.proposer.parameters()]
+        assert loaded.proposer_mse == hybrid.proposer_mse
+
+
 class TestSimulatePaths:
     def test_prefix_copied_bit_exact(self, tiny_frame, tiny_cgan):
         test = make_frame(tiny_frame.prices[:, :20])
@@ -407,3 +428,24 @@ class TestBundlePersistence:
         save_bundle(tmp_path / "a.gfa", tiny_cgan)
         save_bundle(tmp_path / "b.gfa", tiny_cgan)
         assert (tmp_path / "a.gfa").read_bytes() == (tmp_path / "b.gfa").read_bytes()
+
+    def test_damaged_archives_raise_validation_error(self, tiny_cgan, tmp_path):
+        save_bundle(tmp_path / "good.gfa", tiny_cgan)
+        raw = (tmp_path / "good.gfa").read_bytes()
+        data_start = 16 + int.from_bytes(raw[8:16], "little")
+        rng = np.random.default_rng(21)
+        cases = [raw[:k] for k in rng.integers(0, data_start + 64, 30)]
+        cases += [raw[:k] for k in rng.integers(data_start, len(raw), 10)]
+        for k in np.concatenate([rng.integers(0, data_start, 120), rng.integers(0, len(raw), 20)]):
+            damaged = bytearray(raw)
+            damaged[k] ^= int(rng.integers(1, 256))
+            cases.append(bytes(damaged))
+        loaded = 0
+        for data in cases:  # any exception but ValidationError fails the test
+            (tmp_path / "bad.gfa").write_bytes(data)
+            try:
+                load_bundle(tmp_path / "bad.gfa")
+                loaded += 1
+            except ValidationError:
+                pass
+        assert 0 < loaded < len(cases)

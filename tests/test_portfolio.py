@@ -6,7 +6,7 @@ from ganfolio.portfolio import (MomentEstimate, estimate_moments, markowitz_weig
                                 max_sharpe_weights, min_variance_weights,
                                 portfolio_return_risk, project_to_simplex, sharpe_ratio)
 
-from oracles import grid_max_sharpe, oracle_sharpe, random_psd_instance
+from oracles import exact_long_only, grid_max_sharpe, oracle_sharpe, random_psd_instance
 
 
 def moments(mu, cov, t=10):
@@ -158,6 +158,38 @@ class TestMaxSharpe:
         a = max_sharpe_weights(moments(mu, cov))
         b = max_sharpe_weights(moments(mu, cov))
         assert np.array_equal(a, b)
+
+
+class TestExactOptimum:
+    def test_matches_support_enumeration_oracle(self):
+        rng = np.random.default_rng(11)
+        for case in range(350):
+            n, t = int(rng.integers(2, 9)), int(rng.integers(3, 41))
+            market = rng.standard_normal(t) * 0.01
+            returns = (rng.standard_normal((n, t)) * 0.01 + rng.random((n, 1)) * market
+                       + rng.standard_normal((n, 1)) * 0.003)
+            m = estimate_moments(returns)
+            for got, want in ((max_sharpe_weights(m), exact_long_only(m.mean_returns, m.covariance)),
+                              (min_variance_weights(m), exact_long_only(np.zeros(n), m.covariance))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, got, want)
+
+    def test_zero_covariance_uniform_over_top_assets(self):
+        m = moments([0.1, 0.2, -0.1, 0.2], np.zeros((4, 4)))
+        assert np.array_equal(max_sharpe_weights(m), [0.0, 0.5, 0.0, 0.5])
+
+    def test_zero_covariance_no_positive_excess_uniform(self):
+        m = moments([-0.1, -0.2, -0.3], np.zeros((3, 3)))
+        assert np.array_equal(max_sharpe_weights(m), np.full(3, 1 / 3))
+        assert np.array_equal(min_variance_weights(m), np.full(3, 1 / 3))
+
+    def test_singular_covariance_minimum_norm_tie(self):
+        # assets 0 and 1 are the same asset; the optimum splits their weight evenly
+        m = moments([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.allclose(max_sharpe_weights(m), [0.25, 0.25, 0.5], rtol=0, atol=1e-15)
+
+    def test_unbounded_singular_covariance_rejected(self):
+        with pytest.raises(ValidationError):
+            max_sharpe_weights(moments([0.1, 0.1], np.diag([0.0, 0.04])))
 
 
 class TestMarkowitz:
