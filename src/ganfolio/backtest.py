@@ -197,8 +197,7 @@ def markowitz_schedule(test_frame: PriceFrame, eta: int, h: int,
 
 
 def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,
-                   seed: int = 0, r_f: float = 0.0, h: int | None = None,
-                   n_jobs: int = 1) -> BacktestResult:
+                   seed: int = 0, r_f: float = 0.0, h: int | None = None) -> BacktestResult:
     """Backtest one model on the test period.
 
     ``model`` is either a trained bundle or the string ``"markowitz"`` (which
@@ -221,7 +220,7 @@ def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,
     from .gan import simulate_paths  # deferred: backtest does not need GAN machinery otherwise
 
     config = model.config
-    paths = simulate_paths(model, test_frame, n_draws, seed, n_jobs=n_jobs)
+    paths = simulate_paths(model, test_frame, n_draws, seed)
     schedules = strategy_from_paths(paths, test_frame, eta, r_f,
                                     h=config.h, f=config.f)
     scatter = np.empty((len(schedules), 2))

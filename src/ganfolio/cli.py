@@ -65,13 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw synthetic paths from a trained bundle")
     _add_config_arguments(p, ("data", "tickers", "split_date", "bundle", "n_draws",
-                              "seed", "jobs", "out"))
+                              "seed", "out"))
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("backtest", help="backtest a model (and the Markowitz baseline)")
     _add_config_arguments(p, ("data", "tickers", "split_date", "model", "bundle", "h",
                               "eta", "n_draws", "seed", "r_f", "allow_forward_bias",
-                              "jobs", "out"))
+                              "out"))
     p.set_defaults(handler=_cmd_backtest)
 
     p = sub.add_parser("report", help="render SVG plots from a backtest run directory")
@@ -150,7 +150,7 @@ def _cmd_simulate(args) -> int:
         raise ValidationError("simulate needs bundle= (path to a trained archive)")
     bundle = load_bundle(config.bundle)
     _, _, test_frame = _load_frames(config)
-    paths = simulate_paths(bundle, test_frame, config.n_draws, config.seed, n_jobs=config.jobs)
+    paths = simulate_paths(bundle, test_frame, config.n_draws, config.seed)
     # .npy + JSON sidecar rather than .npz: zip archives embed timestamps,
     # which would break byte-identical re-runs
     np.save(out / "paths.npy", paths)
@@ -181,7 +181,7 @@ def _cmd_backtest(args) -> int:
                 "--allow-forward-bias to backtest this forward-biased diagnostic")
         results[config.model] = run_experiment(bundle, test_frame, config.eta,
                                                n_draws=config.n_draws, seed=config.seed,
-                                               r_f=config.r_f, n_jobs=config.jobs)
+                                               r_f=config.r_f)
         h = bundle.config.h
     else:
         h = config.h

@@ -43,15 +43,14 @@ class RunConfig:
     allow_forward_bias: bool = False
     bundle: str = ""
     out: str = ""
-    jobs: int = 1
 
     def __post_init__(self):
         if self.model not in _MODEL_CHOICES:
             raise ValidationError(f"unknown model {self.model!r}; expected one of {_MODEL_CHOICES}")
         if min(self.h, self.f, self.m) < 1:
             raise ValidationError("h, f, m must be positive")
-        if self.epochs < 1 or self.n_draws < 1 or self.eta < 1 or self.jobs < 1:
-            raise ValidationError("epochs, n_draws, eta, jobs must be >= 1")
+        if self.epochs < 1 or self.n_draws < 1 or self.eta < 1:
+            raise ValidationError("epochs, n_draws, eta must be >= 1")
 
     @property
     def w(self) -> int:

@@ -551,15 +551,17 @@ def _inference_stats(bundle: ModelBundle, prices: np.ndarray, start: int) -> Nor
 
 
 def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
-                   seed: int = 0, n_jobs: int = 1) -> np.ndarray:
+                   seed: int = 0) -> np.ndarray:
     """Synthesize ``n_draws`` full test-period paths, shape (n_draws, N, K).
 
     The first h columns of every draw are the observed prices; each
     subsequent f-day block is generated conditioned on the *observed* h days
     before it (never on previously generated values), normalized under the
-    bundle's regime, and de-normalized back to price space.  Draw j uses its
-    own random stream derived from (seed, j), so draws are independent of
-    execution order and may run concurrently.
+    bundle's regime, and de-normalized back to price space.  Draw j takes its
+    latent vectors, one row per block, from its own stream keyed by (seed, j),
+    so a draw's noise does not depend on ``n_draws``.  The normalization and
+    conditioner code depend only on the block, so each block computes them
+    once and runs the simulator on all draws as one row batch.
     """
     if not bundle.trained:
         raise ValidationError("bundle is not trained; run train() or load a trained archive")
@@ -571,28 +573,19 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
     config = bundle.config
     starts = inference_index_set(test_frame.day_count, config.h, config.f)
     prices = test_frame.prices
-
-    def one_draw(j: int) -> np.ndarray:
-        rng = _rng(seed, "draw", extra=j)
-        path = np.array(prices)
-        for start in starts:
-            start = int(start)
-            stats = _inference_stats(bundle, prices, start)
-            historical = prices[:, start - 1 - config.h:start - 1]
-            z = rng.standard_normal(config.m)
-            code = forward(bundle.conditioner, normalize(historical, stats).ravel(), mode="infer")
-            generated = forward(bundle.simulator, ad.concatenate([Tensor(z), code]), mode="infer")
-            block = generated.values.reshape(bundle.n_assets, config.f)
-            path[:, start - 1:start - 1 + config.f] = denormalize(block, stats)
-        return path
-
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            draws = list(pool.map(one_draw, range(n_draws)))
-    else:
-        draws = [one_draw(j) for j in range(n_draws)]
-    return np.stack(draws)
+    # z[j, b] is draw j's latent vector for block b
+    z = np.stack([_rng(seed, "draw", extra=j).standard_normal((starts.size, config.m))
+                  for j in range(n_draws)])
+    paths = np.repeat(prices[None], n_draws, axis=0)
+    for b, start in enumerate(starts.tolist()):
+        stats = _inference_stats(bundle, prices, start)
+        historical = prices[:, start - 1 - config.h:start - 1]
+        code = forward(bundle.conditioner, normalize(historical, stats).ravel(), mode="infer").values
+        latent = np.concatenate([z[:, b], np.broadcast_to(code, (n_draws, code.size))], axis=1)
+        block = forward(bundle.simulator, latent, mode="infer").values
+        paths[:, :, start - 1:start - 1 + config.f] = denormalize(
+            block.reshape(n_draws, bundle.n_assets, config.f), stats)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,15 @@ class MomentEstimate:
             raise ValidationError(f"covariance shape {c.shape} vs {r.size} assets")
         if not (np.isfinite(r).all() and np.isfinite(c).all()):
             raise ValidationError("moment estimate contains non-finite values")
+        # an indefinite covariance makes the allocation program unbounded below
+        tol = 1e-12 * max(1.0, float(np.trace(c)))
+        if np.abs(c - c.T).max(initial=0.0) > tol:
+            raise ValidationError("covariance is not symmetric")
+        try:  # succeeds exactly when the smallest eigenvalue exceeds -tol
+            np.linalg.cholesky(c + tol * np.eye(r.size))
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"covariance is not positive semidefinite (smallest "
+                                  f"eigenvalue {np.linalg.eigvalsh(c)[0]:.3g})") from None
 
     @property
     def n_assets(self) -> int:
@@ -81,10 +90,6 @@ def portfolio_return_risk(weights, moments: MomentEstimate) -> tuple[float, floa
 def sharpe_ratio(weights, moments: MomentEstimate, r_f: float = 0.0) -> float:
     """(v'r - r_f) / sqrt(v'Sv), with the variance floored at 1e-16."""
     ret, var = portfolio_return_risk(weights, moments)
-    if var < -1e-10:
-        raise ValidationError(
-            f"negative portfolio variance {var}; increase the covariance ridge "
-            f"(estimate_moments ridge={COVARIANCE_RIDGE})")
     return (ret - r_f) / np.sqrt(max(var, VARIANCE_FLOOR))
 
 

@@ -116,3 +116,35 @@ def exact_long_only(mean_returns, covariance):
                 best_value, best_w = value, np.zeros(n)
                 best_w[s] = y / y.sum()
     return best_w
+
+
+def per_draw_paths(bundle, prices, n_draws, seed):
+    """Reference simulation: one conditioner and one simulator forward per draw and block.
+
+    Standard and hybrid regimes only.  Draw j reads its latent vectors one
+    block at a time from its own stream, keyed like the library's
+    ``(seed, "draw", j)`` stream.
+    """
+    from ganfolio.gan import propose_mean
+    from ganfolio.networks import forward
+    from ganfolio.normalization import denormalize, fit_standard, make_hybrid_stats, normalize
+
+    config = bundle.config
+    h, f, m = config.h, config.f, config.m
+    n, k = prices.shape
+    paths = np.empty((n_draws, n, k))
+    for j in range(n_draws):
+        rng = np.random.default_rng([seed, 6, 0, j])
+        path = prices.copy()
+        for start in range(h + 1, k + 1, f):
+            historical = prices[:, start - 1 - h:start - 1]
+            stats = fit_standard(historical)
+            if config.resolved_regime == "hybrid":
+                stats = make_hybrid_stats(stats.scale,
+                                          propose_mean(bundle.proposer, historical, stats.center))
+            z = rng.standard_normal(m)
+            code = forward(bundle.conditioner, normalize(historical, stats).ravel()).values
+            block = forward(bundle.simulator, np.concatenate([z, code])).values.reshape(n, f)
+            path[:, start - 1:start - 1 + f] = denormalize(block, stats)
+        paths[j] = path
+    return paths

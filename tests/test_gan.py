@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ganfolio import autodiff as ad
+from ganfolio import gan
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import ValidationError
 from ganfolio.gan import (TrainConfig, build_bundle, critic_loss, generator_loss,
@@ -9,9 +10,23 @@ from ganfolio.gan import (TrainConfig, build_bundle, critic_loss, generator_loss
                           simulate_paths, train, train_proposer, window_stats)
 from ganfolio.marketdata import WindowSample, extract_window
 from ganfolio.networks import MlpNetwork, build_network, forward, sample_dropout_masks
-from ganfolio.normalization import fit_standard, normalize
+from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
 from conftest import TINY, make_frame, sinusoid_frame
+from oracles import per_draw_paths
+
+
+def count_forwards(monkeypatch, bundle, test_frame, n_draws):
+    """Number of network forwards made by one simulate_paths call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].role)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(gan, "forward", counting)
+    simulate_paths(bundle, test_frame, n_draws=n_draws, seed=0)
+    return len(calls)
 
 
 def params_of(bundle):
@@ -360,6 +375,28 @@ class TestHybridNetworkTraining:
             [p.tobytes() for p in hybrid.proposer.parameters()]
         assert loaded.proposer_mse == hybrid.proposer_mse
 
+    def test_simulated_values_inside_scaled_tanh_range(self, hybrid, tiny_frame):
+        test = make_frame(tiny_frame.prices[:, :20])
+        paths = simulate_paths(hybrid, test, n_draws=5, seed=2)
+        h, f = hybrid.config.h, hybrid.config.f
+        for start in (9, 13, 17):
+            hist = test.prices[:, start - 1 - h:start - 1]
+            base = fit_standard(hist)
+            stats = make_hybrid_stats(base.scale, propose_mean(hybrid.proposer, hist, base.center))
+            renorm = normalize(paths[:, :, start - 1:start - 1 + f], stats)
+            assert np.all(np.abs(renorm) < 100.0)
+
+    def test_single_draw_matches_per_draw_reference(self, hybrid, tiny_frame):
+        test = make_frame(tiny_frame.prices[:, :20])
+        got = simulate_paths(hybrid, test, n_draws=1, seed=2)
+        want = per_draw_paths(hybrid, test.prices, n_draws=1, seed=2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_proposer_conditioner_and_simulator_forward_per_block(self, hybrid, tiny_frame,
+                                                                       monkeypatch):
+        test = make_frame(tiny_frame.prices[:, :20])
+        assert count_forwards(monkeypatch, hybrid, test, n_draws=9) == 3 * 3
+
 
 class TestSimulatePaths:
     def test_prefix_copied_bit_exact(self, tiny_frame, tiny_cgan):
@@ -396,11 +433,29 @@ class TestSimulatePaths:
         with pytest.raises(ValidationError, match="truncate"):
             simulate_paths(tiny_cgan, test, n_draws=1, seed=0)
 
-    def test_parallel_draws_match_serial(self, tiny_frame, tiny_cgan):
+    def test_same_inputs_byte_identical_paths(self, tiny_frame, tiny_cgan):
         test = make_frame(tiny_frame.prices[:, :20])
-        serial = simulate_paths(tiny_cgan, test, n_draws=3, seed=4, n_jobs=1)
-        parallel = simulate_paths(tiny_cgan, test, n_draws=3, seed=4, n_jobs=3)
-        assert np.array_equal(serial, parallel)
+        a = simulate_paths(tiny_cgan, test, n_draws=5, seed=4)
+        b = simulate_paths(tiny_cgan, test, n_draws=5, seed=4)
+        assert a.tobytes() == b.tobytes()
+
+    def test_draw_agrees_across_n_draws(self, tiny_frame, tiny_cgan):
+        test = make_frame(tiny_frame.prices[:, :20])
+        few = simulate_paths(tiny_cgan, test, n_draws=7, seed=4)
+        many = simulate_paths(tiny_cgan, test, n_draws=100, seed=4)
+        assert np.abs(many[:7] - few).max() <= 1e-12 * np.abs(few).max()
+
+    def test_single_draw_matches_per_draw_reference(self, tiny_frame, tiny_cgan):
+        test = make_frame(tiny_frame.prices[:, :20])
+        got = simulate_paths(tiny_cgan, test, n_draws=1, seed=4)
+        want = per_draw_paths(tiny_cgan, test.prices, n_draws=1, seed=4)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_draws", [1, 9])
+    def test_one_conditioner_and_simulator_forward_per_block(self, tiny_frame, tiny_cgan,
+                                                              monkeypatch, n_draws):
+        test = make_frame(tiny_frame.prices[:, :20])  # blocks start at days 9, 13, 17
+        assert count_forwards(monkeypatch, tiny_cgan, test, n_draws) == 2 * 3
 
     def test_nonhybrid_normalized_output_strictly_inside_unit(self, tiny_frame, tiny_cgan):
         test = make_frame(tiny_frame.prices[:, :20])

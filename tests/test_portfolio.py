@@ -192,6 +192,27 @@ class TestExactOptimum:
             max_sharpe_weights(moments([0.1, 0.1], np.diag([0.0, 0.04])))
 
 
+class TestCovarianceChecks:
+    def test_indefinite_covariance_rejected(self):
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            moments([0.1, 0.1], np.diag([-0.04, 0.04]))
+
+    def test_asymmetric_covariance_rejected(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            moments([0.1, 0.1], [[0.04, 0.01], [0.0, 0.04]])
+
+    def test_estimate_moments_output_accepted(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(2, 41))
+            returns = rng.standard_normal((n, t)) * 0.01 + rng.standard_normal(t) * 0.01
+            for ridge in (0.0, 1e-4):
+                m = estimate_moments(returns, ridge=ridge)
+                MomentEstimate(m.mean_returns, m.covariance, m.sample_count)
+        estimate_moments(np.full((3, 6), 0.01))
+        estimate_moments(np.tile(rng.standard_normal(8), (4, 1)), ridge=0.0)
+
+
 class TestMarkowitz:
     def test_trending_asset_takes_full_weight(self):
         days = 30
