@@ -1,5 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
+This is the reference engine.  Training does not run on it: the steps in
+:mod:`ganfolio.gan` use the hand-written kernels of :mod:`ganfolio.networks`,
+and the tape losses (``generator_loss``, ``critic_loss``, ``gradient_penalty``)
+define what those kernels must compute.  The tests check the kernels against
+this tape, and the tape against finite differences.  Inference forwards
+still build their tensors here, without recording a graph.
+
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array and,
 when gradients are being tracked, remembers the parent tensors it was computed
 from together with a vector-Jacobian closure.  Every vjp closure is written in

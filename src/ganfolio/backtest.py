@@ -102,6 +102,7 @@ def strategy_from_paths(paths: np.ndarray, test_frame: PriceFrame, eta: int,
     if paths.ndim != 3 or paths.shape[1:] != (n, k):
         raise ValidationError(
             f"paths shape {paths.shape} misaligned with test frame ({n} x {k})")
+    _require_positive_paths(paths, test_frame)
     days = rebalance_days(k, h, eta)
     schedules = []
     for b in paths:
@@ -112,6 +113,21 @@ def strategy_from_paths(paths: np.ndarray, test_frame: PriceFrame, eta: int,
             weights[j] = max_sharpe_weights(estimate_moments(simple_returns(block)), r_f)
         schedules.append(WeightSchedule(days, weights))
     return schedules
+
+
+def _require_positive_paths(paths: np.ndarray, test_frame: PriceFrame) -> None:
+    """Reject generated paths with a non-positive (or NaN) price, naming where."""
+    bad = ~(paths > 0.0)
+    if not bad.any():
+        return
+    draw = int(np.argmax(bad.any(axis=(1, 2))))
+    day = int(np.argmax(bad[draw].any(axis=0)))
+    asset = int(np.argmax(bad[draw, :, day]))
+    raise ValidationError(
+        f"generated path of draw {draw + 1} has a non-positive price "
+        f"{float(paths[draw, asset, day]):.6g} for {test_frame.tickers[asset]} on "
+        f"{test_frame.dates[day]} (test day {day + 1}); the model generated it, "
+        f"so the trained bundle is at fault, not the input CSV")
 
 
 def _covering_block_span(t: int, eta: int, h: int, f: int, k: int) -> tuple[int, int]:

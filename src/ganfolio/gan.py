@@ -32,8 +32,9 @@ from .autodiff import Tensor
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
-from .networks import (AdamState, MlpNetwork, adam_step, build_network, forward,
-                       init_parameters, load_networks, save_networks)
+from .networks import (AdamState, MlpNetwork, adam_step, backward, build_network, forward,
+                       init_parameters, load_networks, parameter_gradients,
+                       sample_dropout_masks, save_networks, tangent_forward, train_forward)
 from .normalization import (NormStats, denormalize, fit_eavesdrop, fit_standard,
                             make_hybrid_stats, normalize)
 
@@ -69,8 +70,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    critic_steps_per_gen: int = 1
-    batch_windows: int = 1
     regime: str = "auto"  # auto | standard | eavesdrop | hybrid
     allow_forward_bias: bool = False
     output_scale: float | None = None
@@ -85,8 +84,6 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValidationError("penalty coefficients must be non-negative")
-        if self.critic_steps_per_gen < 1 or self.batch_windows < 1:
-            raise ValidationError("critic_steps_per_gen and batch_windows must be >= 1")
         if self.regime not in ("auto", "standard", "eavesdrop", "hybrid"):
             raise ValidationError(f"unknown regime {self.regime!r}")
         if self.is_hybrid:
@@ -253,15 +250,16 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
 
     best_mse = np.inf
     best_params = None
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         for idx in shuffle_rng.permutation(len(train_samples)):
             x, target = train_samples[idx]
-            leaves = [Tensor(p, requires_grad=True) for p in proposer.parameters()]
-            out = forward(proposer, x, mode="train", rng=dropout_rng, params=leaves)
-            loss = ad.mse(out, Tensor(target))
-            grads = ad.gradient(loss, leaves)
-            new_params, state = adam_step(proposer.parameters(), grads, state)
-            proposer.set_parameters(new_params)
+            masks = sample_dropout_masks(proposer, dropout_rng, 1)
+            try:
+                _, grads = mse_gradients(proposer, x, target, masks)
+                state = _update(proposer, grads, state)
+            except NumericFault as fault:
+                raise NumericFault(f"proposer training diverged at epoch {epoch}, window "
+                                   f"start {starts[idx]}: {fault}") from fault
         epoch_mse = validation_mse()
         if epoch_mse < best_mse:
             # adam_step allocates fresh arrays, so holding references is safe
@@ -271,7 +269,7 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses, on the autodiff tape (the reference for the kernels below)
 # ---------------------------------------------------------------------------
 
 def gradient_penalty(discriminator: MlpNetwork, real, fake, eps: float, *,
@@ -354,77 +352,155 @@ def critic_loss(bundle: ModelBundle, norm_window: WindowSample, fake_window: np.
 # ---------------------------------------------------------------------------
 # training steps
 # ---------------------------------------------------------------------------
+#
+# The steps run the hand-written kernels of networks.py.  Each *_gradients
+# function computes one tape loss above, and its parameter gradients, without
+# the tape.
 
-def _leaves(net: MlpNetwork) -> list[Tensor]:
-    return [Tensor(p, requires_grad=True) for p in net.parameters()]
-
-
-def _generate_fake_window(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray,
-                          rngs) -> np.ndarray:
-    """Forward-only fake full window (used by the critic side)."""
-    with ad.no_grad():
-        code = forward(bundle.conditioner, norm_window.historical.ravel(), mode="train",
-                       rng=rngs.get("conditioner"))
-        fake_future = forward(bundle.simulator, ad.concatenate([Tensor(z), code]), mode="train",
-                              rng=rngs.get("simulator"))
-    n, f = bundle.n_assets, bundle.config.f
-    return np.concatenate([norm_window.historical, fake_future.values.reshape(n, f)], axis=1)
+def _require_finite(value: float, what: str) -> float:
+    if not np.isfinite(value):
+        raise NumericFault(f"{what} is not finite ({value})")
+    return value
 
 
-def generator_step(bundle: ModelBundle, batch, rngs, optim: dict[str, AdamState]) -> tuple[float, float]:
-    """One Adam update of the generator side over a batch of windows.
+def _fake_window(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, masks):
+    """Train-mode fake full window, its code, and the conditioner and simulator caches."""
+    code, cond_cache = train_forward(bundle.conditioner, norm_window.historical.reshape(1, -1),
+                                     masks.get("conditioner", []))
+    latent = np.concatenate([np.reshape(z, (1, -1)), code], axis=1)
+    future, sim_cache = train_forward(bundle.simulator, latent, masks.get("simulator", []))
+    fake = np.concatenate([norm_window.historical,
+                           future.reshape(bundle.n_assets, bundle.config.f)], axis=1)
+    return fake, code, cond_cache, sim_cache
 
-    ``batch`` is a list of (normalized window, latent vector) pairs; losses
-    average over the batch.  Only conditioner/simulator (and decoder for
-    autoencoding kinds) parameters change.  Returns (generator loss, AP term).
+
+def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray,
+                        masks: dict[str, list[np.ndarray]]):
+    """Kernel form of :func:`generator_loss` and its parameter gradients.
+
+    ``masks`` maps network names to their (1, width) dropout masks.  Returns
+    (loss, AP term or nan, {network name: gradients in parameters() order}).
     """
-    params = {"conditioner": _leaves(bundle.conditioner), "simulator": _leaves(bundle.simulator)}
-    nets = {"conditioner": bundle.conditioner, "simulator": bundle.simulator}
-    if bundle.config.is_acgan:
-        params["decoder"] = _leaves(bundle.decoder)
-        nets["decoder"] = bundle.decoder
-    total = None
-    ap_values = []
-    for norm_window, z in batch:
-        loss, ap = generator_loss(bundle, norm_window, z, params=params, mode="train", rngs=rngs)
-        total = loss if total is None else ad.add(total, loss)
-        if ap is not None:
-            ap_values.append(float(ap.values))
-    total = ad.scalar_multiply(total, 1.0 / len(batch))
-    flat = [t for name in params for t in params[name]]
-    grads = ad.gradient(total, flat)
-    cursor = 0
-    for name, net in nets.items():
-        count = len(params[name])
-        new_params, optim[name] = adam_step(net.parameters(), grads[cursor:cursor + count],
-                                            optim[name])
-        net.set_parameters(new_params)
-        cursor += count
-    ap_mean = float(np.mean(ap_values)) if ap_values else float("nan")
-    return float(total.values), ap_mean
+    config, n = bundle.config, bundle.n_assets
+    fake, code, cond_cache, sim_cache = _fake_window(bundle, norm_window, z, masks)
+    score, disc_cache = train_forward(bundle.discriminator, fake.reshape(1, -1),
+                                      masks.get("discriminator", []))
+    loss = float(score.sum()) * -1.0
+    ap = float("nan")
+    if config.is_acgan:
+        reconstruction, dec_cache = train_forward(bundle.decoder, code, masks.get("decoder", []))
+        diff = reconstruction - norm_window.historical.reshape(1, -1)
+        ap = float(np.sum(diff * diff)) * (1.0 / diff.size)
+        loss = loss + ap * config.lambda2
+    _require_finite(loss, "generator loss")
+
+    _, grad_fake = backward(bundle.discriminator, disc_cache, np.full((1, 1), -1.0),
+                            need_input=True)
+    grad_future = grad_fake.reshape(n, config.w)[:, config.h:].reshape(1, -1)
+    sim_deltas, grad_latent = backward(bundle.simulator, sim_cache, grad_future, need_input=True)
+    grads = {"simulator": parameter_gradients(sim_deltas, sim_cache.inputs)}
+    grad_code = grad_latent[:, config.m:]
+    if config.is_acgan:
+        # the tape's d(lambda2 * mean(diff^2)) / d reconstruction, in its operation order
+        seed = ((config.lambda2 * (1.0 / diff.size)) * diff) * 2.0
+        dec_deltas, grad_code_dec = backward(bundle.decoder, dec_cache, seed, need_input=True)
+        grads["decoder"] = parameter_gradients(dec_deltas, dec_cache.inputs)
+        grad_code = grad_code + grad_code_dec
+    cond_deltas, _ = backward(bundle.conditioner, cond_cache, grad_code)
+    grads["conditioner"] = parameter_gradients(cond_deltas, cond_cache.inputs)
+    return loss, ap, grads
 
 
-def critic_step(bundle: ModelBundle, batch, rngs, optim: dict[str, AdamState]) -> float:
-    """One Adam update of the critic over a batch of windows.
+def critic_gradients(discriminator: MlpNetwork, real: np.ndarray, fake: np.ndarray, eps: float,
+                     lambda1: float, masks: list[np.ndarray]):
+    """Kernel form of :func:`critic_loss` and its parameter gradients.
 
-    Fake windows are regenerated forward-only with the current generator (the
-    step after the generator update, matching the training loop order); only
-    discriminator parameters change.  Returns the critic loss value.
+    The real, fake and interpolate rows go through the critic as one 3-row
+    matrix; ``masks`` holds one (3, width) mask per dropout layer, rows in
+    that order.  The penalty's parameter gradient is the R-op of the critic
+    along u = dP/d(grad_x D) at the interpolate (see
+    :func:`~ganfolio.networks.tangent_forward`), so each affine layer's
+    weight gradient is the one gemm [-d_real, d_fake, lambda1 * d_interp]^T
+    [x_real; x_fake; t_interp].  Returns (loss, penalty, gradients).
     """
-    d_params = _leaves(bundle.discriminator)
-    total = None
-    for norm_window, z in batch:
-        fake_window = _generate_fake_window(bundle, norm_window, z, rngs)
-        eps = float(rngs["eps"].random())
-        loss = critic_loss(bundle, norm_window, fake_window, eps,
-                           params=d_params, mode="train", rng=rngs.get("discriminator"))
-        total = loss if total is None else ad.add(total, loss)
-    total = ad.scalar_multiply(total, 1.0 / len(batch))
-    grads = ad.gradient(total, d_params)
-    new_params, optim["discriminator"] = adam_step(bundle.discriminator.parameters(), grads,
-                                                   optim["discriminator"])
-    bundle.discriminator.set_parameters(new_params)
-    return float(total.values)
+    real = np.asarray(real, dtype=np.float64).ravel()
+    fake = np.asarray(fake, dtype=np.float64).ravel()
+    if real.shape != fake.shape:
+        raise ValidationError(f"real {real.shape} vs fake {fake.shape}")
+    rows = np.stack([real, fake, eps * real + (1.0 - eps) * fake])
+    scores, cache = train_forward(discriminator, rows, masks)
+    deltas, grad_x = backward(discriminator, cache, np.ones((3, 1)), need_input=True)
+    grad_interp = grad_x[2]
+    with np.errstate(all="ignore"):
+        norm = np.sqrt(np.sum(grad_interp * grad_interp))
+        penalty = (norm - 1.0) * (norm - 1.0)
+        loss = (float(scores[1, 0]) - float(scores[0, 0])) + penalty * lambda1
+        _require_finite(loss, "critic loss")
+        direction = (2.0 * (norm - 1.0) / norm) * grad_interp
+    tangents = tangent_forward(discriminator, cache, 2, direction)
+    coefficients = np.array([[-1.0], [1.0], [lambda1]])
+    grads = []
+    for delta, inputs, tangent in zip(deltas, cache.inputs, tangents):
+        scaled = coefficients * delta
+        grads.append(scaled.T @ np.concatenate([inputs[:2], tangent]))
+        grads.append(scaled[0] + scaled[1])  # the penalty has no bias gradient
+    return loss, float(penalty), grads
+
+
+def mse_gradients(net: MlpNetwork, x: np.ndarray, target: np.ndarray,
+                  masks: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    """Kernel form of the proposer's loss ``ad.mse(forward(net, x), target)``
+    and its parameter gradients, for one sample with (1, width) masks."""
+    out, cache = train_forward(net, np.reshape(x, (1, -1)), masks)
+    diff = out - np.reshape(target, (1, -1))
+    loss = _require_finite(float(np.sum(diff * diff)) * (1.0 / diff.size), f"{net.role} MSE")
+    deltas, _ = backward(net, cache, ((1.0 / diff.size) * diff) * 2.0)
+    return loss, parameter_gradients(deltas, cache.inputs)
+
+
+def _update(net: MlpNetwork, grads, state: AdamState) -> AdamState:
+    try:
+        new_params, state = adam_step(net.parameters(), grads, state)
+    except NumericFault as fault:
+        raise NumericFault(f"{net.role}: {fault}") from fault
+    net.set_parameters(new_params)
+    return state
+
+
+def generator_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, rngs,
+                   optim: dict[str, AdamState]) -> tuple[float, float]:
+    """One Adam update of the generator side on one window and latent vector.
+
+    Only conditioner/simulator (and decoder for autoencoding kinds)
+    parameters change.  Returns (generator loss, AP term or nan).
+    """
+    masks = {name: sample_dropout_masks(net, rngs.get(name), 1)
+             for name, net in _trainable_nets(bundle).items()}
+    loss, ap, grads = generator_gradients(bundle, norm_window, z, masks)
+    for name, net_grads in grads.items():
+        optim[name] = _update(getattr(bundle, name), net_grads, optim[name])
+    return loss, ap
+
+
+def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, rngs,
+                optim: dict[str, AdamState]) -> float:
+    """One Adam update of the critic on one window and latent vector.
+
+    The fake window is regenerated forward-only with the current generator
+    (the step after the generator update, matching the training loop order);
+    only discriminator parameters change.  Returns the critic loss value.
+    """
+    fake_window = _fake_window(bundle, norm_window, z, {
+        name: sample_dropout_masks(getattr(bundle, name), rngs.get(name), 1)
+        for name in ("conditioner", "simulator")})[0]
+    eps = float(rngs["eps"].random())
+    # one (3, width) draw equals the real, fake and interpolate draws in turn,
+    # because the critic has a single dropout layer
+    masks = sample_dropout_masks(bundle.discriminator, rngs.get("discriminator"), 3)
+    loss, _, grads = critic_gradients(bundle.discriminator, norm_window.full, fake_window, eps,
+                                      bundle.config.lambda1, masks)
+    optim["discriminator"] = _update(bundle.discriminator, grads, optim["discriminator"])
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +535,9 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     Hybrid kinds first fit (or stub, for the copy-mean diagnostic) the
     proposer, which stays frozen during adversarial training.  Each epoch
     visits every window start exactly once in a fresh seeded random order;
-    per window the generator updates first, then the critic (possibly
-    several times).  Raises on numeric divergence, naming the epoch/window.
+    per window the generator updates once, then the critic once, with the
+    same latent vector.  Raises NumericFault on numeric divergence, naming
+    the epoch, the window start, the network role and the layer.
     """
     if train_frame.day_count < config.w:
         raise ValidationError(
@@ -489,29 +566,20 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(starts.size)
         gen_losses, ap_losses, critic_losses = [], [], []
-        position = 0
-        while position < order.size:
-            group = order[position:position + config.batch_windows]
-            position += group.size
-            batch = []
-            for k in group:
-                window = extract_window(train_frame, int(starts[k]), config.h, config.f)
-                stats = window_stats(bundle, window)
-                batch.append((_normalized_window(window, stats, config.h),
-                              z_rng.standard_normal(config.m)))
+        for k in order:
+            start = int(starts[k])
+            window = extract_window(train_frame, start, config.h, config.f)
+            norm_window = _normalized_window(window, window_stats(bundle, window), config.h)
+            z = z_rng.standard_normal(config.m)
             try:
-                gen_loss, ap_loss = generator_step(bundle, batch, rngs, optim)
-                gen_losses.append(gen_loss)
-                if not np.isnan(ap_loss):
-                    ap_losses.append(ap_loss)
-                for extra in range(config.critic_steps_per_gen):
-                    if extra > 0:
-                        batch = [(w_, z_rng.standard_normal(config.m)) for w_, _ in batch]
-                    critic_losses.append(critic_step(bundle, batch, rngs, optim))
+                gen_loss, ap_loss = generator_step(bundle, norm_window, z, rngs, optim)
+                critic_losses.append(critic_step(bundle, norm_window, z, rngs, optim))
             except NumericFault as fault:
-                raise NumericFault(
-                    f"training diverged at epoch {epoch}, window start {starts[group[0]]}: "
-                    f"{fault}") from fault
+                raise NumericFault(f"training diverged at epoch {epoch}, window start "
+                                   f"{start}: {fault}") from fault
+            gen_losses.append(gen_loss)
+            if not np.isnan(ap_loss):
+                ap_losses.append(ap_loss)
         bundle.training_log.append(EpochLog(
             epoch=epoch,
             critic_loss=float(np.mean(critic_losses)),
@@ -606,13 +674,27 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     save_networks(path, components, meta)
 
 
+# keys that archives from before their removal persist, with the only value
+# the training loop still implements
+_RETIRED_CONFIG_KEYS = {"batch_windows": 1, "critic_steps_per_gen": 1}
+
+
+def _current_config_keys(config: dict, path) -> dict:
+    config = dict(config)
+    for key, supported in _RETIRED_CONFIG_KEYS.items():
+        if key in config and config.pop(key) != supported:
+            raise ValidationError(f"{path}: bundle was trained with a {key} other than "
+                                  f"{supported}, which this version no longer supports")
+    return config
+
+
 def load_bundle(path) -> ModelBundle:
     """Inverse of :func:`save_bundle` (exact parameter round trip)."""
     components, meta = load_networks(path)
     try:
         if meta.get("kind") != "model-bundle":
             raise ValidationError(f"{path}: archive does not contain a model bundle")
-        config = TrainConfig(**meta["config"])
+        config = TrainConfig(**_current_config_keys(meta["config"], path))
         mse = meta.get("proposer_mse")
         return ModelBundle(config=config, tickers=tuple(meta["tickers"]),
                            conditioner=components["conditioner"],

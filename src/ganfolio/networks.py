@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,6 +238,142 @@ def forward(net: MlpNetwork, x, mode: str = "infer", rng: np.random.Generator | 
 
 
 # ---------------------------------------------------------------------------
+# training kernels
+# ---------------------------------------------------------------------------
+#
+# Plain numpy passes over rows of a 2-D input.  A train-mode forward keeps
+# each affine layer's input and each elementwise layer's local derivative;
+# the backward pass returns d(loss)/d(affine output) for every affine layer,
+# from which weight gradients are one gemm each.  Only the network output and
+# the input of a tanh layer (which would hide an overflow) are checked for
+# finiteness; the layer at fault is located only once a check fails.
+
+@dataclass
+class ForwardCache:
+    inputs: list[np.ndarray]  # the input rows of each affine layer
+    local: list  # per layer: its local derivative, or None for an affine layer
+
+
+def _with_params(net: MlpNetwork):
+    """Yield (layer spec, (W, b) for an affine layer else None) in stack order."""
+    params = iter(zip(net.weights, net.biases))
+    for spec in net.layers:
+        yield spec, (next(params) if spec.kind == "affine" else None)
+
+
+def _layer(spec: LayerSpec, wb, x: np.ndarray, masks):
+    """One train-mode layer: (output, local derivative, or None for affine)."""
+    if wb is not None:
+        return x @ wb[0].T + wb[1], None
+    if spec.kind == "tanh":
+        out = np.tanh(x)
+        return out, 1.0 - out * out
+    if spec.kind == "leaky_relu":
+        local = np.where(x > 0.0, 1.0, spec.param)
+    elif spec.kind == "dropout":
+        local = next(masks) / (1.0 - spec.param)
+    else:  # scale
+        local = spec.param
+    return x * local, local
+
+
+def _non_finite(net: MlpNetwork, x: np.ndarray, masks) -> NumericFault:
+    """Rerun the forward layer by layer and name the first non-finite output."""
+    out, masks = x, iter(masks)
+    with np.errstate(all="ignore"):
+        for i, (spec, wb) in enumerate(_with_params(net)):
+            out = _layer(spec, wb, out, masks)[0]
+            if not np.isfinite(out).all():
+                kind = (f"affine {spec.in_dim}->{spec.out_dim}" if wb is not None
+                        else spec.kind)
+                return NumericFault(f"{net.role}: layer {i} ({kind}) produced a "
+                                    f"non-finite value")
+    return NumericFault(f"{net.role}: non-finite input")
+
+
+def train_forward(net: MlpNetwork, x: np.ndarray, masks) -> tuple[np.ndarray, ForwardCache]:
+    """Train-mode forward of the rows of ``x`` with frozen dropout masks.
+
+    ``masks`` holds one (rows, width) 0/1 array per dropout layer, as drawn by
+    :func:`sample_dropout_masks`.  Returns the output rows and the cache that
+    :func:`backward` and :func:`tangent_forward` read.  Raises NumericFault
+    naming the role and layer when the output or a pre-tanh value is not finite.
+    """
+    if x.ndim != 2 or x.shape[1] != net.input_width:
+        raise ValidationError(f"{net.role}: input shape {x.shape}, expected (rows, "
+                              f"{net.input_width})")
+    cache = ForwardCache([], [])
+    out, mask_iter = x, iter(masks)
+    with np.errstate(all="ignore"):
+        for spec, wb in _with_params(net):
+            if wb is not None:
+                cache.inputs.append(out)
+            elif spec.kind == "tanh" and not np.isfinite(out).all():
+                raise _non_finite(net, x, masks)
+            out, local = _layer(spec, wb, out, mask_iter)
+            cache.local.append(local)
+    if not np.isfinite(out).all():
+        raise _non_finite(net, x, masks)
+    return out, cache
+
+
+def backward(net: MlpNetwork, cache: ForwardCache, grad: np.ndarray,
+             need_input: bool = False) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Reverse pass of :func:`train_forward` for output-row gradients ``grad``.
+
+    Returns (deltas, input gradient): ``deltas[k]`` is d(loss)/d(output of
+    affine layer k), row by row; the input gradient is None unless asked for.
+    """
+    deltas = [None] * len(net.weights)
+    k = len(net.weights)
+    with np.errstate(all="ignore"):
+        for spec, local in zip(reversed(net.layers), reversed(cache.local)):
+            if spec.kind != "affine":
+                grad = grad * local
+                continue
+            k -= 1
+            deltas[k] = grad
+            if k == 0 and not need_input:
+                return deltas, None
+            grad = grad @ net.weights[k]
+    return deltas, grad
+
+
+def parameter_gradients(deltas, inputs) -> list[np.ndarray]:
+    """[dW0, db0, dW1, db1, ...] summed over rows, from :func:`backward`'s deltas."""
+    grads = []
+    for delta, x in zip(deltas, inputs):
+        grads.extend((delta.T @ x, delta.sum(axis=0)))
+    return grads
+
+
+def tangent_forward(net: MlpNetwork, cache: ForwardCache, row: int,
+                    direction: np.ndarray) -> list[np.ndarray]:
+    """Pearlmutter's R-op: push ``direction`` through the Jacobian at ``row``.
+
+    Returns the tangent input of every affine layer, shape (1, width).  For a
+    piecewise-linear stack the Jacobian does not depend on the parameters
+    through its local derivatives, so d/dtheta of direction . grad_x D(x) has
+    weight gradient delta_k^T t_k (delta_k from :func:`backward` at the same
+    row) and no bias gradient.  A tanh layer would add a curvature term, so it
+    is rejected.
+    """
+    tangents = []
+    t = direction.reshape(1, -1)
+    with np.errstate(all="ignore"):
+        for (spec, wb), local in zip(_with_params(net), cache.local):
+            if wb is not None:
+                tangents.append(t)
+                t = t @ wb[0].T
+            elif spec.kind == "tanh":
+                raise ValidationError(f"{net.role}: the penalty kernel needs a "
+                                      f"piecewise-linear stack, found tanh")
+            else:
+                t = t * (local[row] if np.ndim(local) else local)
+    return tangents
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
@@ -343,32 +480,40 @@ def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"archive not found: {path}")
-    raw = path.read_bytes()
-    if raw[:len(ARCHIVE_MAGIC)] != ARCHIVE_MAGIC:
-        raise ValidationError(f"{path}: not a ganfolio archive")
-    cursor = len(ARCHIVE_MAGIC) + 8
-    data_start = cursor + int.from_bytes(raw[cursor - 8:cursor], "little")
-    if data_start > len(raw):
-        raise ValidationError(f"{path}: archive truncated inside its header")
-    try:
-        header = json.loads(raw[cursor:data_start].decode("utf-8"))
-        if header.get("version") != ARCHIVE_VERSION:
-            raise ValidationError(f"{path}: unsupported archive version {header.get('version')}")
-        components = {}
-        for entry in header["components"]:
-            layers = [LayerSpec(kind, int(i), int(o), float(p))
-                      for kind, i, o, p in entry["layers"]]
-            net = MlpNetwork(entry["role"], layers)
-            params = []
-            for spec in entry["arrays"]:
-                start, nbytes, shape = data_start + spec["offset"], spec["nbytes"], spec["shape"]
-                if nbytes != 8 * math.prod(shape) or not data_start <= start <= len(raw) - nbytes:
-                    raise ValidationError(f"{path}: array {spec['index']} of {entry['name']} "
-                                          f"does not fit the archive or its shape {shape}")
-                arr = np.frombuffer(raw[start:start + nbytes], dtype="<f8")
-                params.append(arr.reshape(shape).astype(np.float64))
-            net.set_parameters(params)
-            components[entry["name"]] = net
-        return components, header["meta"]
-    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:
-        raise ValidationError(f"{path}: damaged archive header ({err!r})") from None
+    # each array is read straight into its own buffer: no whole-file copy
+    with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        cursor = len(ARCHIVE_MAGIC) + 8
+        lead = handle.read(cursor)
+        if lead[:len(ARCHIVE_MAGIC)] != ARCHIVE_MAGIC:
+            raise ValidationError(f"{path}: not a ganfolio archive")
+        data_start = cursor + int.from_bytes(lead[len(ARCHIVE_MAGIC):], "little")
+        if len(lead) < cursor or data_start > size:
+            raise ValidationError(f"{path}: archive truncated inside its header")
+        try:
+            header = json.loads(handle.read(data_start - cursor).decode("utf-8"))
+            if header.get("version") != ARCHIVE_VERSION:
+                raise ValidationError(
+                    f"{path}: unsupported archive version {header.get('version')}")
+            components = {}
+            for entry in header["components"]:
+                layers = [LayerSpec(kind, int(i), int(o), float(p))
+                          for kind, i, o, p in entry["layers"]]
+                net = MlpNetwork(entry["role"], layers)
+                params = []
+                for spec in entry["arrays"]:
+                    start, nbytes, shape = (data_start + spec["offset"], spec["nbytes"],
+                                            spec["shape"])
+                    if nbytes != 8 * math.prod(shape) or not data_start <= start <= size - nbytes:
+                        raise ValidationError(f"{path}: array {spec['index']} of "
+                                              f"{entry['name']} does not fit the archive or "
+                                              f"its shape {shape}")
+                    arr = np.empty(shape, dtype="<f8")
+                    handle.seek(start)
+                    handle.readinto(arr.data.cast("B"))
+                    params.append(arr.astype(np.float64, copy=False))
+                net.set_parameters(params)
+                components[entry["name"]] = net
+            return components, header["meta"]
+        except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:
+            raise ValidationError(f"{path}: damaged archive header ({err!r})") from None

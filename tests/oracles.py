@@ -148,3 +148,49 @@ def per_draw_paths(bundle, prices, n_draws, seed):
             path[:, start - 1:start - 1 + f] = denormalize(block, stats)
         paths[j] = path
     return paths
+
+
+def tape_training_steps(bundle, norm_window, z, rngs, optim):
+    """Reference generator and critic updates on the autodiff tape.
+
+    One window: the generator side ascends the critic's score through
+    ``generator_loss``; the critic then descends ``critic_loss`` (double
+    backprop for the penalty) on a fake window regenerated with the updated
+    generator.  Dropout masks are drawn by the train-mode forwards from
+    ``rngs`` in the order the tape visits them.  Returns (generator loss,
+    critic loss).
+    """
+    from ganfolio import autodiff as ad
+    from ganfolio.autodiff import Tensor
+    from ganfolio.gan import critic_loss, generator_loss
+    from ganfolio.networks import adam_step, forward
+
+    def update(name, net, grads):
+        new_params, optim[name] = adam_step(net.parameters(), grads, optim[name])
+        net.set_parameters(new_params)
+
+    nets = {"conditioner": bundle.conditioner, "simulator": bundle.simulator}
+    if bundle.decoder is not None:
+        nets["decoder"] = bundle.decoder
+    params = {name: [Tensor(p, requires_grad=True) for p in net.parameters()]
+              for name, net in nets.items()}
+    gen_loss, _ = generator_loss(bundle, norm_window, z, params=params, mode="train", rngs=rngs)
+    grads = ad.gradient(gen_loss, [t for name in params for t in params[name]])
+    cursor = 0
+    for name, net in nets.items():
+        update(name, net, grads[cursor:cursor + len(params[name])])
+        cursor += len(params[name])
+
+    with ad.no_grad():
+        code = forward(bundle.conditioner, norm_window.historical.ravel(), mode="train",
+                       rng=rngs["conditioner"])
+        future = forward(bundle.simulator, ad.concatenate([Tensor(z), code]), mode="train",
+                         rng=rngs["simulator"])
+    fake = np.concatenate([norm_window.historical,
+                           future.values.reshape(bundle.n_assets, bundle.config.f)], axis=1)
+    eps = float(rngs["eps"].random())
+    d_params = [Tensor(p, requires_grad=True) for p in bundle.discriminator.parameters()]
+    loss = critic_loss(bundle, norm_window, fake, eps, params=d_params, mode="train",
+                       rng=rngs["discriminator"])
+    update("discriminator", bundle.discriminator, ad.gradient(loss, d_params))
+    return gen_loss.item(), loss.item()

@@ -5,7 +5,7 @@ from ganfolio.backtest import (REBALANCE_SETTINGS, WeightSchedule, annualized_me
                                markowitz_schedule, mean_strategy, portfolio_value_series,
                                rebalance_days, run_experiment, strategy_from_paths)
 from ganfolio.errors import ValidationError
-from ganfolio.gan import TrainConfig, train
+from ganfolio.gan import TrainConfig, simulate_paths, train
 
 from conftest import TINY, make_frame, sinusoid_frame
 
@@ -277,3 +277,23 @@ def test_paper_comparison_strategies_run_clean(strategy):
     weights = result.schedule.weights
     assert (weights >= 0).all() and np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
     assert np.isfinite(result.value_series).all() and (result.value_series > 0).all()
+
+
+@pytest.mark.parametrize("kind", ["hybrid_cgan", "hybrid_acgan"])
+def test_non_positive_generated_price_names_draw_asset_and_day(kind):
+    # a 1-epoch hybrid at the protocol lr emits prices below zero; the backtest
+    # must blame the generated path, not the input data
+    frame = sinusoid_frame(2, days=26, seed=9)
+    test_frame = make_frame(sinusoid_frame(2, days=24, seed=10).prices)
+    bundle = train(frame, TrainConfig(model_kind=kind, epochs=1, lr=2e-5, seed=2, **TINY))
+    with pytest.raises(ValidationError) as caught:
+        run_experiment(bundle, test_frame, eta=4, n_draws=3, seed=1)
+    message = str(caught.value)
+    assert "generated path of draw " in message and "not the input CSV" in message
+    paths = simulate_paths(bundle, test_frame, 3, seed=1)
+    bad = ~(paths > 0)
+    draw = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+    day = int(np.flatnonzero(bad[draw].any(axis=0))[0])
+    asset = int(np.flatnonzero(bad[draw, :, day])[0])
+    assert (f"draw {draw + 1} " in message and f" for {test_frame.tickers[asset]} on "
+            f"{test_frame.dates[day]} (test day {day + 1})" in message)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ganfolio
 from ganfolio.cli import main
 from ganfolio.config import RunConfig, load_run_config, parse_config_text, write_effective_config
 from ganfolio.errors import ValidationError
 from ganfolio.marketdata import write_price_csv
+from ganfolio.networks import load_networks, save_networks
 
 from conftest import sinusoid_frame
 
@@ -99,6 +106,19 @@ class TestTrainCommand:
                      "--epochs", "1", "--seed", "3", "--out", str(out)]) == 0
         assert (out / "bundle.gfa").exists()
 
+    def test_divergence_exit_3_without_traceback_or_warning(self, data_csv, tmp_path):
+        src = Path(ganfolio.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "ganfolio.cli", "train", "--data", str(data_csv),
+             "--split-date", SPLIT, "--model", "cgan", *TRAIN_FLAGS, "--lr", "1e300",
+             "--out", str(tmp_path / "x")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 3
+        assert done.stderr.startswith("numeric fault: training diverged at epoch 1")
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert done.stdout == ""
+
     def test_missing_split_date(self, data_csv, tmp_path, capsys):
         assert main(["train", "--data", str(data_csv), "--model", "cgan",
                      *TRAIN_FLAGS, "--out", str(tmp_path / "x")]) == 2
@@ -164,6 +184,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT,
                      "--bundle", str(bundle), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
         assert "truncated.gfa" in capsys.readouterr().err
+
+    def test_bundle_with_retired_knob_exit_2(self, data_csv, trained_run, tmp_path, capsys):
+        bundle = tmp_path / "old.gfa"
+        components, meta = load_networks(trained_run / "bundle.gfa")
+        meta["config"].update(batch_windows=4, critic_steps_per_gen=1)
+        save_networks(bundle, components, meta)
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT, "--bundle",
+                     str(bundle), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
+        assert "batch_windows other than 1" in capsys.readouterr().err
 
     def test_divisibility_error_exit_2(self, data_csv, trained_run, tmp_path, capsys):
         code = main(["simulate", "--data", str(data_csv),

@@ -1,15 +1,19 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from ganfolio import autodiff as ad
 from ganfolio import gan
 from ganfolio.autodiff import Tensor
-from ganfolio.errors import ValidationError
+from ganfolio.errors import NumericFault, ValidationError
 from ganfolio.gan import (TrainConfig, build_bundle, critic_loss, generator_loss,
                           gradient_penalty, load_bundle, propose_mean, save_bundle,
                           simulate_paths, train, train_proposer, window_stats)
 from ganfolio.marketdata import WindowSample, extract_window
-from ganfolio.networks import MlpNetwork, build_network, forward, sample_dropout_masks
+from ganfolio.networks import (MlpNetwork, build_network, forward, load_networks,
+                               sample_dropout_masks, save_networks)
 from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
 from conftest import TINY, make_frame, sinusoid_frame
@@ -27,6 +31,14 @@ def count_forwards(monkeypatch, bundle, test_frame, n_draws):
     monkeypatch.setattr(gan, "forward", counting)
     simulate_paths(bundle, test_frame, n_draws=n_draws, seed=0)
     return len(calls)
+
+
+def write_with_config_keys(path, bundle, **keys):
+    """Save ``bundle`` with extra keys in its config metadata, as older versions did."""
+    save_bundle(path, bundle)
+    components, meta = load_networks(path)
+    meta["config"].update(keys)
+    save_networks(path, components, meta)
 
 
 def params_of(bundle):
@@ -218,7 +230,7 @@ class TestSteps:
         rngs = {"conditioner": np.random.default_rng(0), "simulator": np.random.default_rng(1),
                 "discriminator": np.random.default_rng(2), "eps": np.random.default_rng(3)}
         optim = {"discriminator": AdamState.for_parameters(bundle.discriminator.parameters())}
-        critic_step(bundle, [(window, np.zeros(config.m))], rngs, optim)
+        critic_step(bundle, window, np.zeros(config.m), rngs, optim)
         assert all(np.array_equal(p, q) for p, q in
                    zip(before["conditioner"], bundle.conditioner.parameters()))
         assert all(np.array_equal(p, q) for p, q in
@@ -238,7 +250,7 @@ class TestSteps:
                 "discriminator": np.random.default_rng(2)}
         optim = {"conditioner": AdamState.for_parameters(bundle.conditioner.parameters()),
                  "simulator": AdamState.for_parameters(bundle.simulator.parameters())}
-        generator_step(bundle, [(window, np.zeros(config.m))], rngs, optim)
+        generator_step(bundle, window, np.zeros(config.m), rngs, optim)
         assert all(np.array_equal(p, q)
                    for p, q in zip(disc_before, bundle.discriminator.parameters()))
 
@@ -333,16 +345,23 @@ class TestTrain:
                          *hybrid.discriminator.parameters()]):
             assert np.array_equal(p, q)
 
-    def test_batch_windows_knob_runs_finite(self, tiny_frame):
-        config = TrainConfig(model_kind="cgan", epochs=1, seed=5, batch_windows=4, **TINY)
-        bundle = train(tiny_frame, config)
-        assert np.isfinite(bundle.training_log[0].critic_loss)
-        assert np.isfinite(bundle.training_log[0].generator_loss)
+    def test_divergence_names_epoch_window_role_and_layer(self, tiny_frame):
+        config = TrainConfig(model_kind="cgan", epochs=1, seed=0, lr=1e300, **TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(NumericFault) as caught:
+                train(tiny_frame, config)
+        assert re.fullmatch(r"training diverged at epoch 1, window start \d+: conditioner: "
+                            r"layer \d+ \(affine \d+->\d+\) produced a non-finite value",
+                            str(caught.value))
 
-    def test_extra_critic_steps_run_finite(self, tiny_frame):
-        config = TrainConfig(model_kind="cgan", epochs=1, seed=5, critic_steps_per_gen=3, **TINY)
-        bundle = train(tiny_frame, config)
-        assert np.isfinite(bundle.training_log[0].critic_loss)
+    def test_proposer_divergence_names_epoch_and_window(self, tiny_frame):
+        config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0, lr=1e300, **TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFault, match=r"proposer training diverged at epoch 1, "
+                                                   r"window start \d+: proposer: layer \d+"):
+                train(tiny_frame, config)
 
     def test_copy_mu_stats_equal_standard(self, tiny_frame):
         config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0,
@@ -483,6 +502,22 @@ class TestBundlePersistence:
         save_bundle(tmp_path / "a.gfa", tiny_cgan)
         save_bundle(tmp_path / "b.gfa", tiny_cgan)
         assert (tmp_path / "a.gfa").read_bytes() == (tmp_path / "b.gfa").read_bytes()
+
+    def test_archive_with_retired_knobs_at_one_loads(self, tiny_frame, tiny_cgan, tmp_path):
+        path = tmp_path / "old.gfa"
+        write_with_config_keys(path, tiny_cgan, batch_windows=1, critic_steps_per_gen=1)
+        loaded = load_bundle(path)
+        assert loaded.config == tiny_cgan.config
+        test = make_frame(tiny_frame.prices[:, :20])
+        assert np.array_equal(simulate_paths(tiny_cgan, test, 2, seed=0),
+                              simulate_paths(loaded, test, 2, seed=0))
+
+    @pytest.mark.parametrize("key", ["batch_windows", "critic_steps_per_gen"])
+    def test_archive_with_retired_knob_above_one_rejected(self, tiny_cgan, tmp_path, key):
+        path = tmp_path / "old.gfa"
+        write_with_config_keys(path, tiny_cgan, **{key: 4})
+        with pytest.raises(ValidationError, match=f"{key} other than 1"):
+            load_bundle(path)
 
     def test_damaged_archives_raise_validation_error(self, tiny_cgan, tmp_path):
         save_bundle(tmp_path / "good.gfa", tiny_cgan)
