@@ -34,7 +34,6 @@ from .gan import (
     EpochLog,
     ModelBundle,
     TrainConfig,
-    gradient_penalty,
     load_bundle,
     propose_mean,
     save_bundle,
@@ -95,7 +94,6 @@ __all__ = [
     "EpochLog",
     "ModelBundle",
     "TrainConfig",
-    "gradient_penalty",
     "load_bundle",
     "propose_mean",
     "save_bundle",

@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-This is the reference engine.  Training does not run on it: the steps in
-:mod:`ganfolio.gan` use the hand-written kernels of :mod:`ganfolio.networks`,
-and the tape losses (``generator_loss``, ``critic_loss``, ``gradient_penalty``)
-define what those kernels must compute.  The tests check the kernels against
-this tape, and the tape against finite differences.  Inference forwards
-still build their tensors here, without recording a graph.
+This is the reference engine, and no library path imports it: training and
+inference run the hand-written numpy passes of :mod:`ganfolio.networks`.  The
+tests define the network forward and the training losses
+(``generator_loss``, ``critic_loss``, ``gradient_penalty``) on this tape in
+``tests/oracles.py``, check the kernels against them, and check the tape
+against finite differences.  The module stays in the package because the
+benchmark's trace table (``perfbench/tracing.py``) names
+``ganfolio.autodiff.gradient``, and ``demos/03_autodiff_double_backprop.py``
+walks through it.
 
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array and,
 when gradients are being tracked, remembers the parent tensors it was computed

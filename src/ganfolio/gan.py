@@ -27,8 +27,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
@@ -203,8 +201,7 @@ def propose_mean(proposer: MlpNetwork, historical, mu) -> np.ndarray:
     """Deterministic surrogate per-asset window means (inference mode)."""
     historical = np.asarray(historical, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    out = forward(proposer, _proposer_input(historical, mu), mode="infer")
-    return out.values.copy()
+    return forward(proposer, _proposer_input(historical, mu))
 
 
 def _bundle_propose(bundle: ModelBundle, historical: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -245,7 +242,7 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
     dropout_rng = _rng(config.seed, "dropout", "proposer")
 
     def validation_mse():
-        return float(np.mean([np.mean((forward(proposer, x, mode="infer").values - target) ** 2)
+        return float(np.mean([np.mean((forward(proposer, x) - target) ** 2)
                               for x, target in val_samples]))
 
     best_mse = np.inf
@@ -269,93 +266,11 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
 
 
 # ---------------------------------------------------------------------------
-# losses, on the autodiff tape (the reference for the kernels below)
-# ---------------------------------------------------------------------------
-
-def gradient_penalty(discriminator: MlpNetwork, real, fake, eps: float, *,
-                     params: list[Tensor] | None = None, mode: str = "train",
-                     rng: np.random.Generator | None = None,
-                     dropout_masks: list[np.ndarray] | None = None) -> Tensor:
-    """(||grad_x D(x_bar)||_2 - 1)^2 at x_bar = eps*real + (1-eps)*fake.
-
-    The norm is taken over the flattened window; the result stays
-    differentiable with respect to the discriminator parameters (double
-    backprop through the inner gradient).
-    """
-    real = np.asarray(real, dtype=np.float64)
-    fake = np.asarray(fake, dtype=np.float64)
-    if real.shape != fake.shape:
-        raise ValidationError(f"real {real.shape} vs fake {fake.shape}")
-    interpolate = Tensor((eps * real + (1.0 - eps) * fake).ravel(), requires_grad=True)
-    score = ad.sum_(forward(discriminator, interpolate, mode=mode, rng=rng,
-                            params=params, dropout_masks=dropout_masks))
-    (grad_x,) = ad.gradient(score, [interpolate], create_graph=True)
-    return ad.square(ad.add_scalar(ad.l2_norm(grad_x), -1.0))
-
-
-def generator_loss(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, *,
-                   params: dict[str, list[Tensor]] | None = None, mode: str = "train",
-                   rngs: dict[str, np.random.Generator] | None = None,
-                   masks: dict[str, list[np.ndarray]] | None = None) -> tuple[Tensor, Tensor | None]:
-    """Loss minimized by the generator side: -D(fake) [+ lambda2 * AP].
-
-    ``norm_window`` must already be normalized under the bundle's regime.
-    Returns (loss, autoencoding-penalty term or None).  Discriminator
-    parameters enter as constants.
-    """
-    params = params or {}
-    rngs = rngs or {}
-    masks = masks or {}
-    n, f = bundle.n_assets, bundle.config.f
-    hist_flat = Tensor(norm_window.historical.ravel())
-    code = forward(bundle.conditioner, hist_flat, mode=mode, rng=rngs.get("conditioner"),
-                   params=params.get("conditioner"), dropout_masks=masks.get("conditioner"))
-    fake_future = forward(bundle.simulator, ad.concatenate([Tensor(z), code]),
-                          mode=mode, rng=rngs.get("simulator"),
-                          params=params.get("simulator"), dropout_masks=masks.get("simulator"))
-    fake_window = ad.reshape(
-        ad.concatenate([Tensor(norm_window.historical), ad.reshape(fake_future, (n, f))], axis=1),
-        (n * bundle.config.w,))
-    score = ad.sum_(forward(bundle.discriminator, fake_window, mode=mode,
-                            rng=rngs.get("discriminator"),
-                            dropout_masks=masks.get("discriminator")))
-    loss = ad.scalar_multiply(score, -1.0)
-    ap_term = None
-    if bundle.config.is_acgan:
-        reconstruction = forward(bundle.decoder, code, mode=mode, rng=rngs.get("decoder"),
-                                 params=params.get("decoder"), dropout_masks=masks.get("decoder"))
-        ap_term = ad.mse(reconstruction, hist_flat)
-        loss = ad.add(loss, ad.scalar_multiply(ap_term, bundle.config.lambda2))
-    return loss, ap_term
-
-
-def critic_loss(bundle: ModelBundle, norm_window: WindowSample, fake_window: np.ndarray,
-                eps: float, *, params: list[Tensor] | None = None, mode: str = "train",
-                rng: np.random.Generator | None = None,
-                masks: dict[str, list[np.ndarray]] | None = None) -> Tensor:
-    """Loss minimized by the critic: D(fake) - D(real) + lambda1 * penalty."""
-    masks = masks or {}
-    real = norm_window.full
-    if fake_window.shape != real.shape:
-        raise ValidationError(f"fake window {fake_window.shape} vs real {real.shape}")
-    d_real = ad.sum_(forward(bundle.discriminator, real.ravel(), mode=mode, rng=rng,
-                             params=params, dropout_masks=masks.get("real")))
-    d_fake = ad.sum_(forward(bundle.discriminator, fake_window.ravel(), mode=mode, rng=rng,
-                             params=params, dropout_masks=masks.get("fake")))
-    penalty = gradient_penalty(bundle.discriminator, real, fake_window, eps,
-                               params=params, mode=mode, rng=rng,
-                               dropout_masks=masks.get("interpolate"))
-    return ad.add(ad.subtract(d_fake, d_real),
-                  ad.scalar_multiply(penalty, bundle.config.lambda1))
-
-
-# ---------------------------------------------------------------------------
 # training steps
 # ---------------------------------------------------------------------------
 #
 # The steps run the hand-written kernels of networks.py.  Each *_gradients
-# function computes one tape loss above, and its parameter gradients, without
-# the tape.
+# function computes one loss and its parameter gradients in closed form.
 
 def _require_finite(value: float, what: str) -> float:
     if not np.isfinite(value):
@@ -376,10 +291,12 @@ def _fake_window(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, 
 
 def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray,
                         masks: dict[str, list[np.ndarray]]):
-    """Kernel form of :func:`generator_loss` and its parameter gradients.
+    """The generator side's loss -D(fake) [+ lambda2 * AP] and its parameter gradients.
 
-    ``masks`` maps network names to their (1, width) dropout masks.  Returns
-    (loss, AP term or nan, {network name: gradients in parameters() order}).
+    ``norm_window`` must already be normalized under the bundle's regime, and
+    the critic's parameters are constants.  ``masks`` maps network names to
+    their (1, width) dropout masks.  Returns (loss, AP term or nan, {network
+    name: gradients in parameters() order}).
     """
     config, n = bundle.config, bundle.n_assets
     fake, code, cond_cache, sim_cache = _fake_window(bundle, norm_window, z, masks)
@@ -401,7 +318,7 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
     grads = {"simulator": parameter_gradients(sim_deltas, sim_cache.inputs)}
     grad_code = grad_latent[:, config.m:]
     if config.is_acgan:
-        # the tape's d(lambda2 * mean(diff^2)) / d reconstruction, in its operation order
+        # d(lambda2 * mean(diff^2)) / d reconstruction, in the reference engine's operation order
         seed = ((config.lambda2 * (1.0 / diff.size)) * diff) * 2.0
         dec_deltas, grad_code_dec = backward(bundle.decoder, dec_cache, seed, need_input=True)
         grads["decoder"] = parameter_gradients(dec_deltas, dec_cache.inputs)
@@ -413,12 +330,14 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
 
 def critic_gradients(discriminator: MlpNetwork, real: np.ndarray, fake: np.ndarray, eps: float,
                      lambda1: float, masks: list[np.ndarray]):
-    """Kernel form of :func:`critic_loss` and its parameter gradients.
+    """The critic's loss D(fake) - D(real) + lambda1 * P and its parameter gradients.
 
-    The real, fake and interpolate rows go through the critic as one 3-row
-    matrix; ``masks`` holds one (3, width) mask per dropout layer, rows in
-    that order.  The penalty's parameter gradient is the R-op of the critic
-    along u = dP/d(grad_x D) at the interpolate (see
+    P = (||grad_x D(x_bar)||_2 - 1)^2 is the gradient penalty at the
+    interpolate x_bar = eps*real + (1-eps)*fake, with the norm taken over the
+    flattened window.  The real, fake and interpolate rows go through the
+    critic as one 3-row matrix; ``masks`` holds one (3, width) mask per
+    dropout layer, rows in that order.  The penalty's parameter gradient is
+    the R-op of the critic along u = dP/d(grad_x D) at the interpolate (see
     :func:`~ganfolio.networks.tangent_forward`), so each affine layer's
     weight gradient is the one gemm [-d_real, d_fake, lambda1 * d_interp]^T
     [x_real; x_fake; t_interp].  Returns (loss, penalty, gradients).
@@ -449,8 +368,8 @@ def critic_gradients(discriminator: MlpNetwork, real: np.ndarray, fake: np.ndarr
 
 def mse_gradients(net: MlpNetwork, x: np.ndarray, target: np.ndarray,
                   masks: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-    """Kernel form of the proposer's loss ``ad.mse(forward(net, x), target)``
-    and its parameter gradients, for one sample with (1, width) masks."""
+    """The proposer's loss mean((net(x) - target)^2) and its parameter
+    gradients, for one sample with (1, width) masks."""
     out, cache = train_forward(net, np.reshape(x, (1, -1)), masks)
     diff = out - np.reshape(target, (1, -1))
     loss = _require_finite(float(np.sum(diff * diff)) * (1.0 / diff.size), f"{net.role} MSE")
@@ -648,9 +567,9 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
     for b, start in enumerate(starts.tolist()):
         stats = _inference_stats(bundle, prices, start)
         historical = prices[:, start - 1 - config.h:start - 1]
-        code = forward(bundle.conditioner, normalize(historical, stats).ravel(), mode="infer").values
+        code = forward(bundle.conditioner, normalize(historical, stats).ravel())
         latent = np.concatenate([z[:, b], np.broadcast_to(code, (n_draws, code.size))], axis=1)
-        block = forward(bundle.simulator, latent, mode="infer").values
+        block = forward(bundle.simulator, latent)
         paths[:, :, start - 1:start - 1 + config.f] = denormalize(
             block.reshape(n_draws, bundle.n_assets, config.f), stats)
     return paths

@@ -16,8 +16,8 @@ LR = leaky-relu slope, DP = dropout rate):
                           -> N  (one surrogate mean per asset)
 
 Weights initialize uniform in (-1/sqrt(fan_in), +1/sqrt(fan_in)), biases to
-zero.  Dropout draws a fresh mask per forward in train mode and is the
-identity at inference.
+zero.  In train mode dropout applies a frozen mask drawn by
+:func:`sample_dropout_masks`; at inference it is the identity.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import NumericFault, ValidationError
 
 ROLES = ("conditioner", "encoder", "decoder", "simulator", "hybrid_simulator",
@@ -187,66 +185,18 @@ def sample_dropout_masks(net: MlpNetwork, rng: np.random.Generator,
     return masks
 
 
-def forward(net: MlpNetwork, x, mode: str = "infer", rng: np.random.Generator | None = None,
-            params: list[Tensor] | None = None,
-            dropout_masks: list[np.ndarray] | None = None) -> Tensor:
-    """Run the stack.
-
-    ``params`` may supply the affine parameters as gradient-tracked tensors
-    (ordered as :meth:`MlpNetwork.parameters`); otherwise the network's own
-    arrays are used as constants.  In train mode dropout masks come from
-    ``dropout_masks`` when given, else are sampled from ``rng``; in infer
-    mode dropout is the identity.
-    """
-    if mode not in ("train", "infer"):
-        raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
-    out = ad.as_tensor(x)
-    if out.shape[-1] != net.input_width:
-        raise ValidationError(
-            f"{net.role}: input width {out.shape[-1]} != expected {net.input_width}")
-    if params is not None and len(params) != 2 * len(net.weights):
-        raise ValidationError(f"{net.role}: wrong number of parameter tensors")
-
-    affine_i = 0
-    dropout_i = 0
-    for spec in net.layers:
-        if spec.kind == "affine":
-            if params is None:
-                w, b = Tensor(net.weights[affine_i]), Tensor(net.biases[affine_i])
-            else:
-                w, b = params[2 * affine_i], params[2 * affine_i + 1]
-            out = ad.affine(out, w, b)
-            affine_i += 1
-        elif spec.kind == "leaky_relu":
-            out = ad.leaky_relu(out, spec.param)
-        elif spec.kind == "tanh":
-            out = ad.tanh(out)
-        elif spec.kind == "scale":
-            out = ad.scalar_multiply(out, spec.param)
-        elif spec.kind == "dropout":
-            if mode == "infer":
-                continue
-            if dropout_masks is not None:
-                mask = dropout_masks[dropout_i]
-            elif rng is not None:
-                mask = (rng.random(out.shape) >= spec.param).astype(np.float64)
-            else:
-                raise ValidationError("train-mode forward needs rng or dropout_masks")
-            out = ad.dropout(out, spec.param, mask)
-            dropout_i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
-# training kernels
+# forward passes and training kernels
 # ---------------------------------------------------------------------------
 #
-# Plain numpy passes over rows of a 2-D input.  A train-mode forward keeps
-# each affine layer's input and each elementwise layer's local derivative;
-# the backward pass returns d(loss)/d(affine output) for every affine layer,
-# from which weight gradients are one gemm each.  Only the network output and
-# the input of a tanh layer (which would hide an overflow) are checked for
-# finiteness; the layer at fault is located only once a check fails.
+# Plain numpy passes over the rows of an input.  Inference and training run
+# one layer loop; inference passes no dropout masks, so dropout is the
+# identity.  A train-mode forward keeps each affine layer's input and each
+# elementwise layer's local derivative; the backward pass returns
+# d(loss)/d(affine output) for every affine layer, from which weight
+# gradients are one gemm each.  Only the network output and the input of a
+# tanh layer (which would hide an overflow) are checked for finiteness; the
+# layer at fault is located only once a check fails.
 
 @dataclass
 class ForwardCache:
@@ -262,7 +212,11 @@ def _with_params(net: MlpNetwork):
 
 
 def _layer(spec: LayerSpec, wb, x: np.ndarray, masks):
-    """One train-mode layer: (output, local derivative, or None for affine)."""
+    """One layer: (output, local derivative, or None for affine).
+
+    ``masks`` iterates over the frozen dropout masks, or is None at
+    inference, where dropout is the identity.
+    """
     if wb is not None:
         return x @ wb[0].T + wb[1], None
     if spec.kind == "tanh":
@@ -271,6 +225,8 @@ def _layer(spec: LayerSpec, wb, x: np.ndarray, masks):
     if spec.kind == "leaky_relu":
         local = np.where(x > 0.0, 1.0, spec.param)
     elif spec.kind == "dropout":
+        if masks is None:
+            return x, 1.0
         local = next(masks) / (1.0 - spec.param)
     else:  # scale
         local = spec.param
@@ -279,7 +235,7 @@ def _layer(spec: LayerSpec, wb, x: np.ndarray, masks):
 
 def _non_finite(net: MlpNetwork, x: np.ndarray, masks) -> NumericFault:
     """Rerun the forward layer by layer and name the first non-finite output."""
-    out, masks = x, iter(masks)
+    out, masks = x, None if masks is None else iter(masks)
     with np.errstate(all="ignore"):
         for i, (spec, wb) in enumerate(_with_params(net)):
             out = _layer(spec, wb, out, masks)[0]
@@ -289,6 +245,36 @@ def _non_finite(net: MlpNetwork, x: np.ndarray, masks) -> NumericFault:
                 return NumericFault(f"{net.role}: layer {i} ({kind}) produced a "
                                     f"non-finite value")
     return NumericFault(f"{net.role}: non-finite input")
+
+
+def _run(net: MlpNetwork, x: np.ndarray, masks, cache: ForwardCache | None) -> np.ndarray:
+    """The layer loop of both forwards; fills ``cache`` when one is given."""
+    out, mask_iter = x, None if masks is None else iter(masks)
+    with np.errstate(all="ignore"):
+        for spec, wb in _with_params(net):
+            if spec.kind == "tanh" and not np.isfinite(out).all():
+                raise _non_finite(net, x, masks)
+            if cache is not None and wb is not None:
+                cache.inputs.append(out)
+            out, local = _layer(spec, wb, out, mask_iter)
+            if cache is not None:
+                cache.local.append(local)
+    if not np.isfinite(out).all():
+        raise _non_finite(net, x, masks)
+    return out
+
+
+def forward(net: MlpNetwork, x) -> np.ndarray:
+    """Inference forward of one input vector or the rows of a 2-D input.
+
+    Dropout is the identity.  Raises NumericFault naming the role and layer
+    when the output or a pre-tanh value is not finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_width:
+        raise ValidationError(f"{net.role}: input shape {x.shape}, expected width "
+                              f"{net.input_width}")
+    return _run(net, x, None, None)
 
 
 def train_forward(net: MlpNetwork, x: np.ndarray, masks) -> tuple[np.ndarray, ForwardCache]:
@@ -303,18 +289,7 @@ def train_forward(net: MlpNetwork, x: np.ndarray, masks) -> tuple[np.ndarray, Fo
         raise ValidationError(f"{net.role}: input shape {x.shape}, expected (rows, "
                               f"{net.input_width})")
     cache = ForwardCache([], [])
-    out, mask_iter = x, iter(masks)
-    with np.errstate(all="ignore"):
-        for spec, wb in _with_params(net):
-            if wb is not None:
-                cache.inputs.append(out)
-            elif spec.kind == "tanh" and not np.isfinite(out).all():
-                raise _non_finite(net, x, masks)
-            out, local = _layer(spec, wb, out, mask_iter)
-            cache.local.append(local)
-    if not np.isfinite(out).all():
-        raise _non_finite(net, x, masks)
-    return out, cache
+    return _run(net, x, masks, cache), cache
 
 
 def backward(net: MlpNetwork, cache: ForwardCache, grad: np.ndarray,
@@ -398,10 +373,10 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update; aborts (raising) on any non-finite gradient."""
+    """One Adam update; raises NumericFault on a non-finite gradient, or on a
+    gradient whose square overflows (any entry above about 1.3e154)."""
     params = list(params)
-    grads = [g.values if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-             for g in grads]
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ValidationError("adam_step: parameter/gradient/state length mismatch")
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -419,8 +394,13 @@ def adam_step(params, grads, state: AdamState) -> tuple[list[np.ndarray], AdamSt
         v = state.second_moment[i]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        try:
+            with np.errstate(over="raise"):
+                v *= state.beta2
+                v += (1.0 - state.beta2) * (g * g)
+        except FloatingPointError:
+            raise NumericFault(f"adam_step: gradient at index {i} (shape {g.shape}) "
+                               f"overflows the second moment") from None
         denom = np.sqrt(v / c2)
         denom += state.epsilon
         step = m / c1

@@ -6,11 +6,22 @@ enumeration (with a provably safe coarse-to-fine refinement for N=4, where a
 full 0.001-step grid would need ~1.7e8 points; the Sharpe ratio is
 pseudo-concave on the positive-excess region, so refining around the coarse
 optimum cannot miss the global one for positive-definite covariances).
+
+The network reference lives here too: a forward pass and the three training
+losses written on the autodiff tape of ``ganfolio.autodiff``.  It shares no
+forward code with the library's numpy kernels, which the tests check against
+it, and the tape itself is checked against finite differences.
 """
 
 import itertools
 
 import numpy as np
+
+from ganfolio import autodiff as ad
+from ganfolio.autodiff import Tensor
+from ganfolio.errors import ValidationError
+from ganfolio.networks import adam_step
+from ganfolio.normalization import denormalize, fit_standard, make_hybrid_stats, normalize
 
 
 def oracle_sharpe(weights, mean_returns, covariance, r_f=0.0):
@@ -118,17 +129,133 @@ def exact_long_only(mean_returns, covariance):
     return best_w
 
 
+def tape_forward(net, x, mode="infer", rng=None, params=None, dropout_masks=None):
+    """Run the layer stack of ``net`` on the tape.
+
+    ``params`` may supply the affine parameters as gradient-tracked tensors
+    (ordered as ``MlpNetwork.parameters``); otherwise the network's own
+    arrays are used as constants.  In train mode dropout masks come from
+    ``dropout_masks`` when given, else are sampled from ``rng``; in infer
+    mode dropout is the identity.
+    """
+    if mode not in ("train", "infer"):
+        raise ValidationError(f"mode must be 'train' or 'infer', got {mode!r}")
+    out = ad.as_tensor(x)
+    if out.shape[-1] != net.input_width:
+        raise ValidationError(
+            f"{net.role}: input width {out.shape[-1]} != expected {net.input_width}")
+    if params is not None and len(params) != 2 * len(net.weights):
+        raise ValidationError(f"{net.role}: wrong number of parameter tensors")
+
+    affine_i = 0
+    dropout_i = 0
+    for spec in net.layers:
+        if spec.kind == "affine":
+            if params is None:
+                w, b = Tensor(net.weights[affine_i]), Tensor(net.biases[affine_i])
+            else:
+                w, b = params[2 * affine_i], params[2 * affine_i + 1]
+            out = ad.affine(out, w, b)
+            affine_i += 1
+        elif spec.kind == "leaky_relu":
+            out = ad.leaky_relu(out, spec.param)
+        elif spec.kind == "tanh":
+            out = ad.tanh(out)
+        elif spec.kind == "scale":
+            out = ad.scalar_multiply(out, spec.param)
+        elif spec.kind == "dropout":
+            if mode == "infer":
+                continue
+            if dropout_masks is not None:
+                mask = dropout_masks[dropout_i]
+            elif rng is not None:
+                mask = (rng.random(out.shape) >= spec.param).astype(np.float64)
+            else:
+                raise ValidationError("train-mode forward needs rng or dropout_masks")
+            out = ad.dropout(out, spec.param, mask)
+            dropout_i += 1
+    return out
+
+
+def gradient_penalty(discriminator, real, fake, eps, *, params=None, mode="train", rng=None,
+                     dropout_masks=None):
+    """(||grad_x D(x_bar)||_2 - 1)^2 at x_bar = eps*real + (1-eps)*fake.
+
+    The norm is taken over the flattened window; the result stays
+    differentiable with respect to the discriminator parameters (double
+    backprop through the inner gradient).
+    """
+    real = np.asarray(real, dtype=np.float64)
+    fake = np.asarray(fake, dtype=np.float64)
+    if real.shape != fake.shape:
+        raise ValidationError(f"real {real.shape} vs fake {fake.shape}")
+    interpolate = Tensor((eps * real + (1.0 - eps) * fake).ravel(), requires_grad=True)
+    score = ad.sum_(tape_forward(discriminator, interpolate, mode=mode, rng=rng,
+                                 params=params, dropout_masks=dropout_masks))
+    (grad_x,) = ad.gradient(score, [interpolate], create_graph=True)
+    return ad.square(ad.add_scalar(ad.l2_norm(grad_x), -1.0))
+
+
+def generator_loss(bundle, norm_window, z, *, params=None, mode="train", rngs=None, masks=None):
+    """Loss minimized by the generator side: -D(fake) [+ lambda2 * AP].
+
+    ``norm_window`` must already be normalized under the bundle's regime.
+    Returns (loss, autoencoding-penalty term or None).  Discriminator
+    parameters enter as constants.
+    """
+    params = params or {}
+    rngs = rngs or {}
+    masks = masks or {}
+    n, f = bundle.n_assets, bundle.config.f
+    hist_flat = Tensor(norm_window.historical.ravel())
+    code = tape_forward(bundle.conditioner, hist_flat, mode=mode, rng=rngs.get("conditioner"),
+                        params=params.get("conditioner"), dropout_masks=masks.get("conditioner"))
+    fake_future = tape_forward(bundle.simulator, ad.concatenate([Tensor(z), code]),
+                               mode=mode, rng=rngs.get("simulator"),
+                               params=params.get("simulator"),
+                               dropout_masks=masks.get("simulator"))
+    fake_window = ad.reshape(
+        ad.concatenate([Tensor(norm_window.historical), ad.reshape(fake_future, (n, f))], axis=1),
+        (n * bundle.config.w,))
+    score = ad.sum_(tape_forward(bundle.discriminator, fake_window, mode=mode,
+                                 rng=rngs.get("discriminator"),
+                                 dropout_masks=masks.get("discriminator")))
+    loss = ad.scalar_multiply(score, -1.0)
+    ap_term = None
+    if bundle.config.is_acgan:
+        reconstruction = tape_forward(bundle.decoder, code, mode=mode, rng=rngs.get("decoder"),
+                                      params=params.get("decoder"),
+                                      dropout_masks=masks.get("decoder"))
+        ap_term = ad.mse(reconstruction, hist_flat)
+        loss = ad.add(loss, ad.scalar_multiply(ap_term, bundle.config.lambda2))
+    return loss, ap_term
+
+
+def critic_loss(bundle, norm_window, fake_window, eps, *, params=None, mode="train", rng=None,
+                masks=None):
+    """Loss minimized by the critic: D(fake) - D(real) + lambda1 * penalty."""
+    masks = masks or {}
+    real = norm_window.full
+    if fake_window.shape != real.shape:
+        raise ValidationError(f"fake window {fake_window.shape} vs real {real.shape}")
+    d_real = ad.sum_(tape_forward(bundle.discriminator, real.ravel(), mode=mode, rng=rng,
+                                  params=params, dropout_masks=masks.get("real")))
+    d_fake = ad.sum_(tape_forward(bundle.discriminator, fake_window.ravel(), mode=mode, rng=rng,
+                                  params=params, dropout_masks=masks.get("fake")))
+    penalty = gradient_penalty(bundle.discriminator, real, fake_window, eps,
+                               params=params, mode=mode, rng=rng,
+                               dropout_masks=masks.get("interpolate"))
+    return ad.add(ad.subtract(d_fake, d_real),
+                  ad.scalar_multiply(penalty, bundle.config.lambda1))
+
+
 def per_draw_paths(bundle, prices, n_draws, seed):
     """Reference simulation: one conditioner and one simulator forward per draw and block.
 
-    Standard and hybrid regimes only.  Draw j reads its latent vectors one
-    block at a time from its own stream, keyed like the library's
-    ``(seed, "draw", j)`` stream.
+    Standard and hybrid regimes only.  Every forward, the proposer's too, runs
+    on the tape.  Draw j reads its latent vectors one block at a time from its
+    own stream, keyed like the library's ``(seed, "draw", j)`` stream.
     """
-    from ganfolio.gan import propose_mean
-    from ganfolio.networks import forward
-    from ganfolio.normalization import denormalize, fit_standard, make_hybrid_stats, normalize
-
     config = bundle.config
     h, f, m = config.h, config.f, config.m
     n, k = prices.shape
@@ -140,12 +267,15 @@ def per_draw_paths(bundle, prices, n_draws, seed):
             historical = prices[:, start - 1 - h:start - 1]
             stats = fit_standard(historical)
             if config.resolved_regime == "hybrid":
-                stats = make_hybrid_stats(stats.scale,
-                                          propose_mean(bundle.proposer, historical, stats.center))
+                # the proposer reads the standard-normalized history and the raw means
+                proposer_input = np.concatenate([normalize(historical, stats).ravel(),
+                                                 stats.center])
+                stats = make_hybrid_stats(
+                    stats.scale, tape_forward(bundle.proposer, proposer_input).values)
             z = rng.standard_normal(m)
-            code = forward(bundle.conditioner, normalize(historical, stats).ravel()).values
-            block = forward(bundle.simulator, np.concatenate([z, code])).values.reshape(n, f)
-            path[:, start - 1:start - 1 + f] = denormalize(block, stats)
+            code = tape_forward(bundle.conditioner, normalize(historical, stats).ravel()).values
+            block = tape_forward(bundle.simulator, np.concatenate([z, code])).values
+            path[:, start - 1:start - 1 + f] = denormalize(block.reshape(n, f), stats)
         paths[j] = path
     return paths
 
@@ -160,13 +290,9 @@ def tape_training_steps(bundle, norm_window, z, rngs, optim):
     ``rngs`` in the order the tape visits them.  Returns (generator loss,
     critic loss).
     """
-    from ganfolio import autodiff as ad
-    from ganfolio.autodiff import Tensor
-    from ganfolio.gan import critic_loss, generator_loss
-    from ganfolio.networks import adam_step, forward
-
     def update(name, net, grads):
-        new_params, optim[name] = adam_step(net.parameters(), grads, optim[name])
+        new_params, optim[name] = adam_step(net.parameters(), [g.values for g in grads],
+                                            optim[name])
         net.set_parameters(new_params)
 
     nets = {"conditioner": bundle.conditioner, "simulator": bundle.simulator}
@@ -182,10 +308,10 @@ def tape_training_steps(bundle, norm_window, z, rngs, optim):
         cursor += len(params[name])
 
     with ad.no_grad():
-        code = forward(bundle.conditioner, norm_window.historical.ravel(), mode="train",
-                       rng=rngs["conditioner"])
-        future = forward(bundle.simulator, ad.concatenate([Tensor(z), code]), mode="train",
-                         rng=rngs["simulator"])
+        code = tape_forward(bundle.conditioner, norm_window.historical.ravel(), mode="train",
+                            rng=rngs["conditioner"])
+        future = tape_forward(bundle.simulator, ad.concatenate([Tensor(z), code]), mode="train",
+                              rng=rngs["simulator"])
     fake = np.concatenate([norm_window.historical,
                            future.values.reshape(bundle.n_assets, bundle.config.f)], axis=1)
     eps = float(rngs["eps"].random())

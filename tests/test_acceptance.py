@@ -14,8 +14,7 @@ from ganfolio.autodiff import Tensor, finite_difference_check, gradient
 from ganfolio.backtest import (REBALANCE_SETTINGS, WeightSchedule, markowitz_schedule,
                                portfolio_value_series, run_experiment, strategy_from_paths)
 from ganfolio.config import RunConfig
-from ganfolio.gan import (TrainConfig, build_bundle, critic_loss, generator_loss,
-                          gradient_penalty, simulate_paths, train, train_proposer)
+from ganfolio.gan import TrainConfig, build_bundle, simulate_paths, train, train_proposer
 from ganfolio.marketdata import (extract_window, inference_index_set, training_index_set)
 from ganfolio.networks import (LayerSpec, MlpNetwork, build_network, init_parameters,
                                sample_dropout_masks)
@@ -24,7 +23,8 @@ from ganfolio.normalization import (denormalize, fit_eavesdrop, fit_standard,
 from ganfolio.portfolio import MomentEstimate, max_sharpe_weights, sharpe_ratio
 
 from conftest import make_frame
-from oracles import grid_max_sharpe, random_psd_instance
+from oracles import (critic_loss, generator_loss, gradient_penalty, grid_max_sharpe,
+                     random_psd_instance, tape_forward)
 
 TOY = dict(h=8, f=4, m=6)
 
@@ -114,9 +114,7 @@ class TestGradientCorrectness:
         p_masks = sample_dropout_masks(proposer, rng)
 
         def proposer_f(params):
-            from ganfolio.networks import forward
-
-            out = forward(proposer, x, mode="train", params=params, dropout_masks=p_masks)
+            out = tape_forward(proposer, x, mode="train", params=params, dropout_masks=p_masks)
             return ad.mse(out, Tensor(target))
 
         p_leaves = [Tensor(p, requires_grad=True) for p in proposer.parameters()]

@@ -28,6 +28,20 @@ SPLIT = "2020-01-01+00026"  # leaves 20 test days: (20-8) divisible by 4
 TRAIN_FLAGS = ["--h", "8", "--f", "4", "--m", "6", "--epochs", "2", "--seed", "3"]
 
 
+def run_python(*args):
+    """Run the interpreter on ``args`` in a fresh process that imports this checkout."""
+    src = Path(ganfolio.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_autodiff_unloaded():
+    # the autodiff engine is the tests' reference; no library path imports it
+    done = run_python("-c", "import sys, ganfolio.cli; print('ganfolio.autodiff' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 class TestConfigFile:
     def test_parse_and_comments(self):
         values = parse_config_text("# comment\n  h = 8  # trailing\n\nmodel=acgan\n")
@@ -107,13 +121,9 @@ class TestTrainCommand:
         assert (out / "bundle.gfa").exists()
 
     def test_divergence_exit_3_without_traceback_or_warning(self, data_csv, tmp_path):
-        src = Path(ganfolio.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "ganfolio.cli", "train", "--data", str(data_csv),
-             "--split-date", SPLIT, "--model", "cgan", *TRAIN_FLAGS, "--lr", "1e300",
-             "--out", str(tmp_path / "x")],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-            timeout=120)
+        done = run_python("-m", "ganfolio.cli", "train", "--data", str(data_csv),
+                          "--split-date", SPLIT, "--model", "cgan", *TRAIN_FLAGS, "--lr", "1e300",
+                          "--out", str(tmp_path / "x"))
         assert done.returncode == 3
         assert done.stderr.startswith("numeric fault: training diverged at epoch 1")
         assert "Traceback" not in done.stderr and "Warning" not in done.stderr
@@ -193,6 +203,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT, "--bundle",
                      str(bundle), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
         assert "batch_windows other than 1" in capsys.readouterr().err
+
+    def test_non_finite_simulator_exit_3_names_layer(self, data_csv, trained_run, tmp_path):
+        # 1e308 times a latent entry above 1.8 in magnitude overflows the first affine layer
+        bundle = tmp_path / "overflow.gfa"
+        components, meta = load_networks(trained_run / "bundle.gfa")
+        components["simulator"].weights[0][0, 0] = 1e308
+        save_networks(bundle, components, meta)
+        done = run_python("-m", "ganfolio.cli", "simulate", "--data", str(data_csv),
+                          "--split-date", SPLIT, "--bundle", str(bundle), "--n-draws", "20",
+                          "--seed", "1", "--out", str(tmp_path / "sim"))
+        assert done.returncode == 3
+        assert done.stderr == ("numeric fault: simulator: layer 0 (affine 22->128) produced a "
+                               "non-finite value\n")
+        assert done.stdout == ""
 
     def test_divisibility_error_exit_2(self, data_csv, trained_run, tmp_path, capsys):
         code = main(["simulate", "--data", str(data_csv),

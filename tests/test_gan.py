@@ -8,8 +8,7 @@ from ganfolio import autodiff as ad
 from ganfolio import gan
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
-from ganfolio.gan import (TrainConfig, build_bundle, critic_loss, generator_loss,
-                          gradient_penalty, load_bundle, propose_mean, save_bundle,
+from ganfolio.gan import (TrainConfig, build_bundle, load_bundle, propose_mean, save_bundle,
                           simulate_paths, train, train_proposer, window_stats)
 from ganfolio.marketdata import WindowSample, extract_window
 from ganfolio.networks import (MlpNetwork, build_network, forward, load_networks,
@@ -17,7 +16,8 @@ from ganfolio.networks import (MlpNetwork, build_network, forward, load_networks
 from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
 from conftest import TINY, make_frame, sinusoid_frame
-from oracles import per_draw_paths
+import oracles
+from oracles import critic_loss, generator_loss, gradient_penalty, per_draw_paths
 
 
 def count_forwards(monkeypatch, bundle, test_frame, n_draws):
@@ -187,31 +187,19 @@ class TestLosses:
         window = normalized_window(tiny_frame, config)
         hist_flat = window.historical.ravel()
 
-        class IdentityDecoder:
-            role = "decoder"
-
-            def parameters(self):
-                return []
-
-        # swap a decoder that reproduces the history exactly
-        ident = build_network("decoder", 2, TINY["h"], TINY["f"], TINY["m"])
+        # swap in a decoder that reproduces the history exactly
         bundle_decoder = bundle.decoder
-
-        def fake_forward(net, x, **kwargs):
-            return Tensor(hist_flat)
-
-        import ganfolio.gan as gan_module
-        original_forward = gan_module.forward
+        original_forward = oracles.tape_forward
         try:
             def patched(net, x, **kwargs):
                 if net is bundle_decoder:
                     return Tensor(hist_flat)
                 return original_forward(net, x, **kwargs)
 
-            gan_module.forward = patched
+            oracles.tape_forward = patched
             _, ap = generator_loss(bundle, window, np.zeros(config.m), mode="infer")
         finally:
-            gan_module.forward = original_forward
+            oracles.tape_forward = original_forward
         assert ap.item() == 0.0
 
 
@@ -362,6 +350,17 @@ class TestTrain:
             with pytest.raises(NumericFault, match=r"proposer training diverged at epoch 1, "
                                                    r"window start \d+: proposer: layer \d+"):
                 train(tiny_frame, config)
+
+    def test_adam_overflow_names_epoch_window_role_and_index(self, tiny_frame):
+        # a finite gradient above about 1.3e154 overflows its square in Adam
+        config = TrainConfig(model_kind="hybrid_acgan", epochs=2, seed=0, lr=1e8, **TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFault) as caught:
+                train(tiny_frame, config)
+        assert re.fullmatch(r"(proposer )?training diverged at epoch \d+, window start \d+: "
+                            r"\w+: adam_step: gradient at index \d+ \(shape \([\d, ]+\)\) "
+                            r"overflows the second moment", str(caught.value))
 
     def test_copy_mu_stats_equal_standard(self, tiny_frame):
         config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0,

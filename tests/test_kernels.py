@@ -14,16 +14,15 @@ from ganfolio import autodiff as ad
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import ValidationError
 from ganfolio.gan import (MODEL_KINDS, TrainConfig, _normalized_window, _rng, _trainable_nets,
-                          build_bundle, critic_gradients, critic_loss, critic_step,
-                          generator_gradients, generator_loss, generator_step, mse_gradients,
-                          window_stats)
+                          build_bundle, critic_gradients, critic_step, generator_gradients,
+                          generator_step, mse_gradients, window_stats)
 from ganfolio.marketdata import extract_window
-from ganfolio.networks import (AdamState, LayerSpec, MlpNetwork, build_network, forward,
+from ganfolio.networks import (AdamState, LayerSpec, MlpNetwork, build_network,
                                init_parameters, sample_dropout_masks, tangent_forward,
                                train_forward)
 
 from conftest import sinusoid_frame
-from oracles import tape_training_steps
+from oracles import critic_loss, generator_loss, tape_forward, tape_training_steps
 
 WIDTHS = {"toy": (2, dict(h=8, f=4, m=6)), "protocol": (5, dict(h=40, f=20, m=100))}
 TOL = 1e-12
@@ -102,7 +101,7 @@ def test_proposer_mse_gradients_match_tape(width):
     target = rng.standard_normal(n_assets)
     masks = sample_dropout_masks(proposer, rng)
     leaves = [Tensor(p, requires_grad=True) for p in proposer.parameters()]
-    loss = ad.mse(forward(proposer, x, mode="train", params=leaves, dropout_masks=masks),
+    loss = ad.mse(tape_forward(proposer, x, mode="train", params=leaves, dropout_masks=masks),
                   Tensor(target))
     tape = ad.gradient(loss, leaves)
     k_loss, kernel = mse_gradients(proposer, x, target, [m[None] for m in masks])

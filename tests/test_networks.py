@@ -3,9 +3,11 @@ import pytest
 
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
-from ganfolio.networks import (AdamState, adam_step, build_network, forward,
+from ganfolio.networks import (ROLES, AdamState, adam_step, build_network, forward,
                                init_parameters, load_networks, sample_dropout_masks,
                                save_networks)
+
+from oracles import tape_forward
 
 N, H, F, M = 2, 8, 4, 6
 
@@ -50,44 +52,66 @@ class TestBuildNetwork:
     def test_hybrid_zero_preactivation_outputs_zero(self):
         net = build_network("hybrid_simulator", N, H, F, M)  # zero parameters
         out = forward(net, np.zeros(M + 16))
-        assert np.array_equal(out.values, np.zeros(N * F))
+        assert np.array_equal(out, np.zeros(N * F))
 
 
 class TestForward:
     def test_simulator_range(self):
         net = built("simulator")
         out = forward(net, np.random.default_rng(1).standard_normal(M + 16) * 10)
-        assert np.all(np.abs(out.values) < 1.0)
+        assert np.all(np.abs(out) < 1.0)
 
     def test_hybrid_simulator_range(self):
         net = built("hybrid_simulator")
         out = forward(net, np.random.default_rng(1).standard_normal(M + 16) * 10)
-        assert np.all(np.abs(out.values) <= 100.0)
-        assert np.any(np.abs(out.values) > 1.0) or np.all(out.values == 0)
+        assert np.all(np.abs(out) <= 100.0)
+        assert np.any(np.abs(out) > 1.0) or np.all(out == 0)
 
     def test_infer_deterministic(self):
         net = built("discriminator")
         x = np.random.default_rng(2).standard_normal(net.input_width)
-        assert np.array_equal(forward(net, x).values, forward(net, x).values)
+        assert np.array_equal(forward(net, x), forward(net, x))
 
     def test_train_mode_needs_rng_or_masks(self):
         net = built("conditioner")
         x = np.zeros(net.input_width)
         with pytest.raises(ValidationError, match="rng or dropout_masks"):
-            forward(net, x, mode="train")
+            tape_forward(net, x, mode="train")
 
     def test_frozen_masks_reproduce(self):
         net = built("conditioner")
         x = np.random.default_rng(3).standard_normal(net.input_width)
         masks = sample_dropout_masks(net, np.random.default_rng(4))
-        a = forward(net, x, mode="train", dropout_masks=masks)
-        b = forward(net, x, mode="train", dropout_masks=masks)
+        a = tape_forward(net, x, mode="train", dropout_masks=masks)
+        b = tape_forward(net, x, mode="train", dropout_masks=masks)
         assert np.array_equal(a.values, b.values)
 
     def test_width_mismatch(self):
         net = built("conditioner")
         with pytest.raises(ValidationError, match="width"):
             forward(net, np.zeros(net.input_width + 1))
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_matches_tape_reference_bit_for_bit(self, role):
+        net = build_network(role, 5, 40, 20, 100)
+        init_parameters(net, np.random.default_rng(11))
+        x = np.random.default_rng(12).standard_normal((100, net.input_width))
+        for rows in (x[0], x[:1], x):
+            out = forward(net, rows)
+            assert type(out) is np.ndarray
+            assert np.array_equal(out, tape_forward(net, rows).values)
+        assert np.array_equal(forward(net, x[0]), forward(net, x[:1])[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_value_names_role_and_layer(self):
+        # 1e308 times an input entry of 2 overflows inside the first affine layer
+        net = built("simulator")
+        net.weights[0][0, 0] = 1e308
+        x = np.zeros((3, net.input_width))
+        x[1, 0] = 2.0
+        with pytest.raises(NumericFault, match=r"^simulator: layer 0 \(affine 22->128\) "
+                                               r"produced a non-finite value$"):
+            forward(net, x)
 
 
 class TestInitParameters:
@@ -149,6 +173,13 @@ class TestAdam:
         with pytest.raises(NumericFault, match="index 0"):
             adam_step(params, [np.array([1.0, np.nan])], state)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_second_moment_aborts(self):
+        params = [np.zeros(2), np.zeros(3)]
+        state = AdamState.for_parameters(params)
+        with pytest.raises(NumericFault, match=r"index 1 \(shape \(3,\)\) overflows"):
+            adam_step(params, [np.ones(2), np.array([1e155, 1.0, -1.0])], state)
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         params = [rng.standard_normal((4, 4))]
@@ -195,7 +226,7 @@ class TestForwardGradients:
         masks = sample_dropout_masks(net, rng)
 
         def f(params):
-            out = forward(net, x, mode="train", params=params, dropout_masks=masks)
+            out = tape_forward(net, x, mode="train", params=params, dropout_masks=masks)
             return ad.mean(ad.square(out))
 
         leaves = [Tensor(p, requires_grad=True) for p in net.parameters()]
