@@ -222,30 +222,29 @@ def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,
     annual Sharpe) scatter point per draw, each draw's schedule applied to
     the real test prices.
     """
+    scatter = None
     if isinstance(model, str):
         if model != "markowitz":
             raise ValidationError(f"unknown model {model!r}")
         if h is None:
             raise ValidationError("markowitz baseline needs the trailing window length h")
         schedule = markowitz_schedule(test_frame, eta, h, r_f)
-        values, dates = portfolio_value_series(schedule, test_frame)
-        metrics = annualized_metrics(values, r_f)
-        return BacktestResult(values, dates, metrics.annual_return, metrics.annual_sharpe,
-                              metrics.degenerate, schedule, None)
+    else:
+        from .gan import simulate_paths  # deferred: backtest does not need GAN machinery otherwise
 
-    from .gan import simulate_paths  # deferred: backtest does not need GAN machinery otherwise
+        paths = simulate_paths(model, test_frame, n_draws, seed)
+        schedules = strategy_from_paths(paths, test_frame, eta, r_f,
+                                        h=model.config.h, f=model.config.f)
+        scatter = np.array([(r.annual_return, r.annual_sharpe)
+                            for r in (_score(s, test_frame, r_f) for s in schedules)])
+        schedule = mean_strategy(schedules)
+    return _score(schedule, test_frame, r_f, scatter)
 
-    config = model.config
-    paths = simulate_paths(model, test_frame, n_draws, seed)
-    schedules = strategy_from_paths(paths, test_frame, eta, r_f,
-                                    h=config.h, f=config.f)
-    scatter = np.empty((len(schedules), 2))
-    for i, s in enumerate(schedules):
-        draw_values, _ = portfolio_value_series(s, test_frame)
-        m = annualized_metrics(draw_values, r_f)
-        scatter[i] = (m.annual_return, m.annual_sharpe)
-    schedule = mean_strategy(schedules)
+
+def _score(schedule: WeightSchedule, test_frame: PriceFrame, r_f: float,
+           draw_scatter: np.ndarray | None = None) -> BacktestResult:
+    """Apply ``schedule`` to the real test prices and annualize the result."""
     values, dates = portfolio_value_series(schedule, test_frame)
     metrics = annualized_metrics(values, r_f)
     return BacktestResult(values, dates, metrics.annual_return, metrics.annual_sharpe,
-                          metrics.degenerate, schedule, scatter)
+                          metrics.degenerate, schedule, draw_scatter)

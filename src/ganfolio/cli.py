@@ -213,17 +213,17 @@ def _cmd_report(args) -> int:
 
     values_csv = run_dir / "value_series.csv"
     if values_csv.exists():
-        columns = read_csv_columns(values_csv)
-        series = {name: np.array([float(x) for x in column])
-                  for name, column in columns.items() if name != "date"}
+        columns = read_csv_columns(values_csv, required=("date",), text=("date",))
+        series = {name: column for name, column in columns.items() if name != "date"}
+        if not series:
+            raise ValidationError(f"{values_csv}: no value columns next to 'date'")
         svg_line_chart(run_dir / "value_series.svg", series, "Portfolio value (unit start)")
         produced.append("value_series.svg")
 
     scatter_csv = run_dir / "scatter.csv"
     if scatter_csv.exists():
-        columns = read_csv_columns(scatter_csv)
-        points = np.column_stack([[float(x) for x in columns["annual_return"]],
-                                  [float(x) for x in columns["annual_sharpe"]]])
+        columns = read_csv_columns(scatter_csv, required=("annual_return", "annual_sharpe"))
+        points = np.column_stack([columns["annual_return"], columns["annual_sharpe"]])
         svg_scatter(run_dir / "scatter.svg", points, "Per-draw annual return vs Sharpe ratio")
         produced.append("scatter.svg")
 
@@ -243,22 +243,20 @@ def _cmd_report(args) -> int:
 def _schedule_from_weights_csv(path):
     from .backtest import WeightSchedule
 
-    columns = read_csv_columns(path)
-    dates = columns["date"]
-    tickers = []
-    for t in columns["ticker"]:
-        if t not in tickers:
-            tickers.append(t)
-    unique_dates = []
-    for d in dates:
-        if d not in unique_dates:
-            unique_dates.append(d)
-    weights = np.empty((len(unique_dates), len(tickers)))
-    for date, ticker, weight in zip(dates, columns["ticker"], columns["weight"]):
-        weights[unique_dates.index(date), tickers.index(ticker)] = float(weight)
+    columns = read_csv_columns(path, required=("date", "ticker", "weight"),
+                               text=("date", "ticker"))
+    # first-seen order, as the rows were written
+    date_row = {d: i for i, d in enumerate(dict.fromkeys(columns["date"]))}
+    ticker_col = {t: j for j, t in enumerate(dict.fromkeys(columns["ticker"]))}
+    weights = np.full((len(date_row), len(ticker_col)), np.nan)
+    for date, ticker, weight in zip(columns["date"], columns["ticker"], columns["weight"]):
+        weights[date_row[date], ticker_col[ticker]] = weight
     # synthetic evenly spaced indices; the plot only needs order and values
-    indices = tuple(range(1, len(unique_dates) + 1))
-    return WeightSchedule(indices, weights), tickers
+    indices = tuple(range(1, len(date_row) + 1))
+    try:
+        return WeightSchedule(indices, weights), list(ticker_col)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -161,6 +161,13 @@ class ModelBundle:
     def n_assets(self) -> int:
         return len(self.tickers)
 
+    def networks(self) -> dict[str, MlpNetwork]:
+        """Every network the bundle carries, keyed by name."""
+        nets = {"conditioner": self.conditioner, "simulator": self.simulator,
+                "discriminator": self.discriminator, "decoder": self.decoder,
+                "proposer": self.proposer}
+        return {name: net for name, net in nets.items() if net is not None}
+
 
 def build_bundle(config: TrainConfig, tickers, proposer: MlpNetwork | None = None) -> ModelBundle:
     """Fresh bundle with seeded parameter initialization (not yet trained).
@@ -171,20 +178,15 @@ def build_bundle(config: TrainConfig, tickers, proposer: MlpNetwork | None = Non
     n = len(tickers)
     cond_role = "encoder" if config.is_acgan else "conditioner"
     sim_role = "hybrid_simulator" if config.is_hybrid else "simulator"
-    conditioner = build_network(cond_role, n, config.h, config.f, config.m)
-    simulator = build_network(sim_role, n, config.h, config.f, config.m,
-                              output_scale=config.resolved_output_scale)
-    discriminator = build_network("discriminator", n, config.h, config.f, config.m)
-    init_parameters(conditioner, _rng(config.seed, "init", "conditioner"))
-    init_parameters(simulator, _rng(config.seed, "init", "simulator"))
-    init_parameters(discriminator, _rng(config.seed, "init", "discriminator"))
-    decoder = None
+    nets = {"conditioner": build_network(cond_role, n, config.h, config.f, config.m),
+            "simulator": build_network(sim_role, n, config.h, config.f, config.m,
+                                       output_scale=config.resolved_output_scale),
+            "discriminator": build_network("discriminator", n, config.h, config.f, config.m)}
     if config.is_acgan:
-        decoder = build_network("decoder", n, config.h, config.f, config.m)
-        init_parameters(decoder, _rng(config.seed, "init", "decoder"))
-    return ModelBundle(config=config, tickers=tickers, conditioner=conditioner,
-                       simulator=simulator, discriminator=discriminator, decoder=decoder,
-                       proposer=proposer)
+        nets["decoder"] = build_network("decoder", n, config.h, config.f, config.m)
+    for name, net in nets.items():
+        init_parameters(net, _rng(config.seed, "init", name))
+    return ModelBundle(config=config, tickers=tickers, proposer=proposer, **nets)
 
 
 # ---------------------------------------------------------------------------
@@ -511,31 +513,13 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
 
 
 def _trainable_nets(bundle: ModelBundle) -> dict[str, MlpNetwork]:
-    nets = {"conditioner": bundle.conditioner, "simulator": bundle.simulator,
-            "discriminator": bundle.discriminator}
-    if bundle.decoder is not None:
-        nets["decoder"] = bundle.decoder
-    return nets
+    """The networks adversarial training updates: all but the frozen proposer."""
+    return {name: net for name, net in bundle.networks().items() if name != "proposer"}
 
 
 # ---------------------------------------------------------------------------
 # inference
 # ---------------------------------------------------------------------------
-
-def _inference_stats(bundle: ModelBundle, prices: np.ndarray, start: int) -> NormStats:
-    """Stats for the generation block starting at 1-based day ``start``."""
-    h, f = bundle.config.h, bundle.config.f
-    historical = prices[:, start - 1 - h:start - 1]
-    regime = bundle.config.resolved_regime
-    if regime == "eavesdrop":
-        return fit_eavesdrop(prices[:, start - 1 - h:start - 1 + f], h,
-                             allow_forward_bias=True)
-    base = fit_standard(historical)
-    if regime == "standard":
-        return base
-    proposed = _bundle_propose(bundle, historical, base.center)
-    return make_hybrid_stats(base.scale, proposed)
-
 
 def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
                    seed: int = 0) -> np.ndarray:
@@ -543,12 +527,15 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
 
     The first h columns of every draw are the observed prices; each
     subsequent f-day block is generated conditioned on the *observed* h days
-    before it (never on previously generated values), normalized under the
-    bundle's regime, and de-normalized back to price space.  Draw j takes its
-    latent vectors, one row per block, from its own stream keyed by (seed, j),
-    so a draw's noise does not depend on ``n_draws``.  The normalization and
-    conditioner code depend only on the block, so each block computes them
-    once and runs the simulator on all draws as one row batch.
+    before it (never on previously generated values) and de-normalized back
+    to price space.  The block's window is the observed w = h + f days that
+    end with it, and :func:`window_stats` normalizes it exactly as training
+    does; only the eavesdrop diagnostic reads the window's future days.  Draw
+    j takes its latent vectors, one row per block, from its own stream keyed
+    by (seed, j), so a draw's noise does not depend on ``n_draws``.  The
+    normalization and conditioner code depend only on the block, so each
+    block computes them once and runs the simulator on all draws as one row
+    batch.  A NumericFault names the block's first test day and its date.
     """
     if not bundle.trained:
         raise ValidationError("bundle is not trained; run train() or load a trained archive")
@@ -557,21 +544,25 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
             f"test frame tickers {test_frame.tickers} do not match bundle {bundle.tickers}")
     if n_draws < 1:
         raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
-    config = bundle.config
-    starts = inference_index_set(test_frame.day_count, config.h, config.f)
-    prices = test_frame.prices
+    h, f = bundle.config.h, bundle.config.f
+    starts = inference_index_set(test_frame.day_count, h, f)
     # z[j, b] is draw j's latent vector for block b
-    z = np.stack([_rng(seed, "draw", extra=j).standard_normal((starts.size, config.m))
+    z = np.stack([_rng(seed, "draw", extra=j).standard_normal((starts.size, bundle.config.m))
                   for j in range(n_draws)])
-    paths = np.repeat(prices[None], n_draws, axis=0)
+    paths = np.repeat(test_frame.prices[None], n_draws, axis=0)
     for b, start in enumerate(starts.tolist()):
-        stats = _inference_stats(bundle, prices, start)
-        historical = prices[:, start - 1 - config.h:start - 1]
-        code = forward(bundle.conditioner, normalize(historical, stats).ravel())
-        latent = np.concatenate([z[:, b], np.broadcast_to(code, (n_draws, code.size))], axis=1)
-        block = forward(bundle.simulator, latent)
-        paths[:, :, start - 1:start - 1 + config.f] = denormalize(
-            block.reshape(n_draws, bundle.n_assets, config.f), stats)
+        window = extract_window(test_frame, start - h, h, f)
+        try:
+            stats = window_stats(bundle, window)
+            code = forward(bundle.conditioner, normalize(window.historical, stats).ravel())
+            latent = np.concatenate([z[:, b], np.broadcast_to(code, (n_draws, code.size))],
+                                    axis=1)
+            block = forward(bundle.simulator, latent)
+        except NumericFault as fault:
+            raise NumericFault(f"simulating the block from test day {start} "
+                               f"({test_frame.dates[start - 1]}): {fault}") from fault
+        paths[:, :, start - 1:start - 1 + f] = denormalize(
+            block.reshape(n_draws, bundle.n_assets, f), stats)
     return paths
 
 
@@ -581,16 +572,10 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
 
 def save_bundle(path, bundle: ModelBundle) -> None:
     """Write the bundle to a deterministic binary archive."""
-    components = {"conditioner": bundle.conditioner, "simulator": bundle.simulator,
-                  "discriminator": bundle.discriminator}
-    if bundle.decoder is not None:
-        components["decoder"] = bundle.decoder
-    if bundle.proposer is not None:
-        components["proposer"] = bundle.proposer
     meta = {"kind": "model-bundle", "config": asdict(bundle.config),
             "tickers": list(bundle.tickers), "trained": bundle.trained,
             "proposer_mse": None if np.isnan(bundle.proposer_mse) else bundle.proposer_mse}
-    save_networks(path, components, meta)
+    save_networks(path, bundle.networks(), meta)
 
 
 # keys that archives from before their removal persist, with the only value
@@ -615,12 +600,7 @@ def load_bundle(path) -> ModelBundle:
             raise ValidationError(f"{path}: archive does not contain a model bundle")
         config = TrainConfig(**_current_config_keys(meta["config"], path))
         mse = meta.get("proposer_mse")
-        return ModelBundle(config=config, tickers=tuple(meta["tickers"]),
-                           conditioner=components["conditioner"],
-                           simulator=components["simulator"],
-                           discriminator=components["discriminator"],
-                           decoder=components.get("decoder"),
-                           proposer=components.get("proposer"),
+        return ModelBundle(config=config, tickers=tuple(meta["tickers"]), **components,
                            proposer_mse=float("nan") if mse is None else float(mse),
                            trained=bool(meta.get("trained", False)))
     except (ValueError, TypeError, KeyError, AttributeError) as err:

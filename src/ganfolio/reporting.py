@@ -83,21 +83,39 @@ def write_overlay_csv(path, frame: PriceFrame, paths: np.ndarray) -> None:
                                 + [_fmt(paths[k, j, d]) for k in range(n_draws)])
 
 
-def read_csv_columns(path) -> dict[str, list[str]]:
-    """Read a small CSV into {header: column values} (report rendering)."""
+def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.ndarray]:
+    """Read a small CSV into {header: column values} (report rendering).
+
+    Columns named in ``text`` stay lists of strings; every other column is
+    parsed into a float64 array.  A missing file, no data rows, a missing
+    ``required`` column, a row of the wrong length or an unparseable number
+    raises ValidationError naming the file (and the row and column).
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"missing CSV: {path}")
     with path.open(newline="") as handle:
         rows = list(csv.reader(handle))
-    if not rows:
-        raise ValidationError(f"{path}: empty CSV")
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: no data rows")
     header = rows[0]
-    columns: dict[str, list[str]] = {name: [] for name in header}
-    for row in rows[1:]:
+    for name in required:
+        if name not in header:
+            raise ValidationError(f"{path}: missing column {name!r}")
+    columns: dict[str, list] = {name: [] for name in header}
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
         for name, cell in zip(header, row):
+            if name not in text:
+                try:
+                    cell = float(cell)
+                except ValueError:
+                    raise ValidationError(f"{path}: unparseable value {cell!r} at row {row_no}, "
+                                          f"column {name!r}") from None
             columns[name].append(cell)
-    return columns
+    return {name: column if name in text else np.array(column, dtype=np.float64)
+            for name, column in columns.items()}
 
 
 # ---------------------------------------------------------------------------

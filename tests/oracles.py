@@ -21,7 +21,8 @@ from ganfolio import autodiff as ad
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import ValidationError
 from ganfolio.networks import adam_step
-from ganfolio.normalization import denormalize, fit_standard, make_hybrid_stats, normalize
+from ganfolio.normalization import (NormStats, denormalize, fit_standard, make_hybrid_stats,
+                                   normalize)
 
 
 def oracle_sharpe(weights, mean_returns, covariance, r_f=0.0):
@@ -252,9 +253,12 @@ def critic_loss(bundle, norm_window, fake_window, eps, *, params=None, mode="tra
 def per_draw_paths(bundle, prices, n_draws, seed):
     """Reference simulation: one conditioner and one simulator forward per draw and block.
 
-    Standard and hybrid regimes only.  Every forward, the proposer's too, runs
-    on the tape.  Draw j reads its latent vectors one block at a time from its
-    own stream, keyed like the library's ``(seed, "draw", j)`` stream.
+    Every regime: the center is the historical mean (standard), the
+    proposer's surrogate mean (hybrid) or the mean of the block's whole
+    window, its own f days included (eavesdrop).  Every forward, the
+    proposer's too, runs on the tape.  Draw j reads its latent vectors one
+    block at a time from its own stream, keyed like the library's
+    ``(seed, "draw", j)`` stream.
     """
     config = bundle.config
     h, f, m = config.h, config.f, config.m
@@ -272,6 +276,10 @@ def per_draw_paths(bundle, prices, n_draws, seed):
                                                  stats.center])
                 stats = make_hybrid_stats(
                     stats.scale, tape_forward(bundle.proposer, proposer_input).values)
+            elif config.resolved_regime == "eavesdrop":
+                window = prices[:, start - 1 - h:start - 1 + f]
+                stats = NormStats(center=window.mean(axis=1), scale=stats.scale,
+                                  regime="eavesdrop")
             z = rng.standard_normal(m)
             code = tape_forward(bundle.conditioner, normalize(historical, stats).ravel()).values
             block = tape_forward(bundle.simulator, np.concatenate([z, code])).values

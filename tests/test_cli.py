@@ -1,4 +1,6 @@
+import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -214,8 +216,9 @@ class TestSimulateCommand:
                           "--split-date", SPLIT, "--bundle", str(bundle), "--n-draws", "20",
                           "--seed", "1", "--out", str(tmp_path / "sim"))
         assert done.returncode == 3
-        assert done.stderr == ("numeric fault: simulator: layer 0 (affine 22->128) produced a "
-                               "non-finite value\n")
+        assert done.stderr == ("numeric fault: simulating the block from test day 9 "
+                               "(2020-01-01+00035): simulator: layer 0 (affine 22->128) "
+                               "produced a non-finite value\n")
         assert done.stdout == ""
 
     def test_divisibility_error_exit_2(self, data_csv, trained_run, tmp_path, capsys):
@@ -273,6 +276,33 @@ class TestBacktestAndReport:
         assert heights, "no weight bars rendered"
         for total in heights.values():
             assert total == pytest.approx(380.0, abs=0.1)  # plot area height
+
+    @pytest.mark.parametrize("name, column, fault", [
+        ("value_series.csv", "date", "missing column"),
+        ("value_series.csv", "cgan", "bad cell"),
+        ("scatter.csv", "annual_sharpe", "missing column"),
+        ("scatter.csv", "annual_return", "bad cell"),
+        ("weights_cgan.csv", "weight", "missing column"),
+        ("weights_cgan.csv", "weight", "bad cell"),
+    ])
+    def test_malformed_csv_exit_2_names_file_and_column(self, run_dir, tmp_path, capsys,
+                                                        name, column, fault):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        path = run / name
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        at = rows[0].index(column)
+        if fault == "missing column":
+            rows = [row[:at] + row[at + 1:] for row in rows]
+            expected = f"{path}: missing column {column!r}"
+        else:
+            rows[2][at] = "abc"
+            expected = f"{path}: unparseable value 'abc' at row 3, column {column!r}"
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        assert main(["report", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_empty_run_dir_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"

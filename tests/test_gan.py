@@ -487,6 +487,53 @@ class TestSimulatePaths:
                 assert np.all(np.abs(renorm) < 1.0)
 
 
+@pytest.fixture(scope="module")
+def regime_bundles(tiny_frame, tiny_cgan):
+    """A toy trained bundle per normalization regime."""
+    config = dict(epochs=1, seed=5, **TINY)
+    return {"standard": tiny_cgan,
+            "hybrid": train(tiny_frame, TrainConfig(model_kind="hybrid_cgan", **config)),
+            "eavesdrop": train(tiny_frame, TrainConfig(model_kind="cgan", regime="eavesdrop",
+                                                       allow_forward_bias=True, **config))}
+
+
+def blocks_before_and_after_scaling(bundle, test):
+    """Each generated block's values before and after scaling the test prices
+    from that block's first day onward; yields (start, before, after)."""
+    f = bundle.config.f
+    before = simulate_paths(bundle, test, n_draws=3, seed=9)
+    for start in (9, 13, 17):
+        prices = test.prices.copy()
+        prices[:, start - 1:] *= 1.5
+        after = simulate_paths(bundle, make_frame(prices), n_draws=3, seed=9)
+        block = slice(start - 1, start - 1 + f)
+        yield start, before[:, :, block], after[:, :, block]
+
+
+class TestSimulationLookAhead:
+    @pytest.mark.parametrize("regime", ["standard", "hybrid"])
+    def test_block_ignores_its_own_and_later_days(self, regime_bundles, tiny_frame, regime):
+        test = make_frame(tiny_frame.prices[:, :20])
+        for start, before, after in blocks_before_and_after_scaling(regime_bundles[regime], test):
+            assert np.array_equal(before, after), start
+
+    def test_eavesdrop_block_reads_its_own_days(self, regime_bundles, tiny_frame):
+        # the perturbation does reach a block whose normalization looks ahead
+        test = make_frame(tiny_frame.prices[:, :20])
+        for start, before, after in blocks_before_and_after_scaling(regime_bundles["eavesdrop"],
+                                                                     test):
+            assert not np.array_equal(before, after), start
+
+
+class TestEavesdropSimulation:
+    def test_single_draw_matches_per_draw_reference(self, regime_bundles, tiny_frame):
+        bundle = regime_bundles["eavesdrop"]
+        test = make_frame(tiny_frame.prices[:, :20])
+        got = simulate_paths(bundle, test, n_draws=1, seed=4)
+        want = per_draw_paths(bundle, test.prices, n_draws=1, seed=4)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestBundlePersistence:
     def test_roundtrip_and_same_paths(self, tiny_frame, tiny_cgan, tmp_path):
         save_bundle(tmp_path / "b.gfa", tiny_cgan)
@@ -496,6 +543,23 @@ class TestBundlePersistence:
         test = make_frame(tiny_frame.prices[:, :20])
         assert np.array_equal(simulate_paths(tiny_cgan, test, 2, seed=0),
                               simulate_paths(loaded, test, 2, seed=0))
+
+    def test_archive_holds_exactly_the_bundles_networks(self, regime_bundles, tmp_path):
+        hybrid = regime_bundles["hybrid"]
+        assert list(hybrid.networks()) == ["conditioner", "simulator", "discriminator",
+                                           "proposer"]
+        save_bundle(tmp_path / "h.gfa", hybrid)
+        components, _ = load_networks(tmp_path / "h.gfa")
+        assert sorted(components) == sorted(hybrid.networks())
+
+    @pytest.mark.parametrize("name", ["conditioner", "simulator", "discriminator"])
+    def test_archive_missing_a_network_rejected(self, tiny_cgan, tmp_path, name):
+        save_bundle(tmp_path / "b.gfa", tiny_cgan)
+        components, meta = load_networks(tmp_path / "b.gfa")
+        del components[name]
+        save_networks(tmp_path / "b.gfa", components, meta)
+        with pytest.raises(ValidationError, match=name):
+            load_bundle(tmp_path / "b.gfa")
 
     def test_byte_identical_archives(self, tiny_cgan, tmp_path):
         save_bundle(tmp_path / "a.gfa", tiny_cgan)
