@@ -47,7 +47,7 @@ print(f"S2 holds {s2.size} generation starts spaced f={f} apart: {s2.tolist()}")
 
 window = extract_window(train_frame, int(s1[0]), h, f)
 print(f"first window: full {window.full.shape}, historical {window.historical.shape}, "
-      f"future {window.future.shape}")
+      f"future {window.full[:, h:].shape}")
 assert window.historical.base is window.full.base  # views, not copies
 
 returns = simple_returns(window.historical)

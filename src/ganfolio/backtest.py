@@ -27,7 +27,7 @@ _DEGENERATE_STD = 1e-12
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Long-only weight vectors at equally spaced 1-based rebalance days."""
+    """Long-only weight vectors at strictly increasing 1-based rebalance days."""
 
     rebalance_indices: tuple[int, ...]
     weights: np.ndarray  # (n_rebalances, n_assets)
@@ -42,21 +42,12 @@ class WeightSchedule:
                 f"weights shape {weights.shape} vs {len(indices)} rebalance dates")
         if len(indices) == 0:
             raise ValidationError("schedule needs at least one rebalance date")
-        spacings = np.diff(indices)
-        if len(spacings) and (spacings <= 0).any():
+        if (np.diff(indices) <= 0).any():
             raise ValidationError("rebalance indices must be strictly increasing")
-        if len(spacings) and len(set(spacings.tolist())) > 1:
-            raise ValidationError(f"rebalance spacing must be constant, got {sorted(set(spacings))}")
         if not np.allclose(weights.sum(axis=1), 1.0, atol=1e-8):
             raise ValidationError("weights must sum to 1 at every rebalance date")
         if (weights < -1e-9).any() or (weights > 1 + 1e-9).any():
             raise ValidationError("weights must lie in [0, 1]")
-
-    @property
-    def eta(self) -> int:
-        if len(self.rebalance_indices) < 2:
-            raise ValidationError("spacing undefined for a single rebalance date")
-        return self.rebalance_indices[1] - self.rebalance_indices[0]
 
 
 @dataclass(frozen=True)

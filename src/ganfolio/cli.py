@@ -118,10 +118,7 @@ def _require_out(config: RunConfig) -> Path:
 
 
 def _cmd_ingest(args) -> int:
-    tickers = None
-    if args.tickers:
-        tickers = [t.strip() for t in args.tickers.split(",") if t.strip()]
-    frame = load_price_csv(args.data, tickers)
+    frame = load_price_csv(args.data, RunConfig(tickers=args.tickers or "").ticker_list())
     print(f"tickers ({frame.n_assets}): {', '.join(frame.tickers)}")
     print(f"days: {frame.day_count} ({frame.dates[0]} .. {frame.dates[-1]})")
     print(f"price range: {frame.prices.min():.6g} .. {frame.prices.max():.6g}")
@@ -251,7 +248,7 @@ def _schedule_from_weights_csv(path):
     weights = np.full((len(date_row), len(ticker_col)), np.nan)
     for date, ticker, weight in zip(columns["date"], columns["ticker"], columns["weight"]):
         weights[date_row[date], ticker_col[ticker]] = weight
-    # synthetic evenly spaced indices; the plot only needs order and values
+    # the CSV holds dates, not day numbers; the plot only needs their order
     indices = tuple(range(1, len(date_row) + 1))
     try:
         return WeightSchedule(indices, weights), list(ticker_col)

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
-from .networks import (AdamState, MlpNetwork, adam_step, backward, build_network, forward,
-                       init_parameters, load_networks, parameter_gradients,
+from .networks import (HYBRID_OUTPUT_SCALE, AdamState, MlpNetwork, adam_step, backward,
+                       build_network, forward, init_parameters, load_networks, parameter_gradients,
                        sample_dropout_masks, save_networks, tangent_forward, train_forward)
 from .normalization import (NormStats, denormalize, fit_eavesdrop, fit_standard,
                             make_hybrid_stats, normalize)
@@ -121,7 +121,7 @@ class TrainConfig:
     def resolved_output_scale(self) -> float:
         if self.output_scale is not None:
             return float(self.output_scale)
-        return 100.0 if self.is_hybrid else 1.0
+        return HYBRID_OUTPUT_SCALE if self.is_hybrid else 1.0
 
 
 @dataclass(frozen=True)
@@ -442,8 +442,7 @@ def window_stats(bundle: ModelBundle, window: WindowSample) -> NormStats:
 
 def _normalized_window(window: WindowSample, stats: NormStats, h: int) -> WindowSample:
     full = normalize(window.full, stats)
-    return WindowSample(full=full, historical=full[:, :h], future=full[:, h:],
-                        start_index=window.start_index)
+    return WindowSample(full=full, historical=full[:, :h])
 
 
 # ---------------------------------------------------------------------------

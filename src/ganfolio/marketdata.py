@@ -73,15 +73,12 @@ class PriceFrame:
 class WindowSample:
     """One w = h + f slice of a price frame.
 
-    ``historical`` and ``future`` are column views of ``full`` (shared
-    memory, so they can never diverge).  ``start_index`` is the 1-based
-    offset of the window's first column in the source frame.
+    ``historical`` is a column view of ``full``'s first h days (shared
+    memory, so the two can never diverge).
     """
 
     full: np.ndarray
     historical: np.ndarray
-    future: np.ndarray
-    start_index: int
 
 
 def load_price_csv(path, expected_tickers=None) -> PriceFrame:
@@ -205,8 +202,7 @@ def extract_window(frame: PriceFrame, start: int, h: int, f: int) -> WindowSampl
             f"window start {start} with w={w} exceeds frame length {frame.day_count}")
     s0 = start - 1
     full = frame.prices[:, s0:s0 + w]
-    return WindowSample(full=full, historical=full[:, :h], future=full[:, h:],
-                        start_index=start)
+    return WindowSample(full=full, historical=full[:, :h])
 
 
 def simple_returns(prices) -> np.ndarray:

@@ -83,13 +83,6 @@ class MlpNetwork:
     def input_width(self) -> int:
         return self.layers[0].in_dim
 
-    @property
-    def output_width(self) -> int:
-        for spec in reversed(self.layers):
-            if spec.kind == "affine":
-                return spec.out_dim
-        raise ValidationError(f"{self.role}: no affine layer")
-
     def parameters(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -107,9 +100,6 @@ class MlpNetwork:
                 raise ValidationError(f"{self.role}: parameter shape mismatch at affine {i}")
             self.weights[i] = np.asarray(w, dtype=np.float64)
             self.biases[i] = np.asarray(b, dtype=np.float64)
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 def _affine(i, o):

@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-REGIMES = ("standard", "eavesdrop", "hybrid")
-
 # scale = max(3*sigma, SCALE_FLOOR * max(1, |center|)); keeps constant
 # segments invertible.
 SCALE_FLOOR = 1e-8
@@ -35,15 +33,12 @@ class NormStats:
 
     center: np.ndarray
     scale: np.ndarray
-    regime: str
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64)
         scale = np.asarray(self.scale, dtype=np.float64)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", scale)
-        if self.regime not in REGIMES:
-            raise ValidationError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if center.shape != scale.shape:
             raise ValidationError(f"center shape {center.shape} vs scale shape {scale.shape}")
         if not np.isfinite(center).all():
@@ -63,7 +58,7 @@ def fit_standard(historical) -> NormStats:
         raise ValidationError(f"need at least 2 historical values, got {x.shape[-1]}")
     center = x.mean(axis=-1)
     scale = _floored_scale(x.std(axis=-1), center)
-    return NormStats(center=center, scale=scale, regime="standard")
+    return NormStats(center=center, scale=scale)
 
 
 def fit_eavesdrop(full, h: int, allow_forward_bias: bool = False) -> NormStats:
@@ -84,7 +79,7 @@ def fit_eavesdrop(full, h: int, allow_forward_bias: bool = False) -> NormStats:
     if not 2 <= h <= w:
         raise ValidationError(f"historical length {h} incompatible with window {w}")
     base = fit_standard(x[..., :h])
-    return NormStats(center=x.mean(axis=-1), scale=base.scale, regime="eavesdrop")
+    return NormStats(center=x.mean(axis=-1), scale=base.scale)
 
 
 def make_hybrid_stats(historical_scale, proposed_center) -> NormStats:
@@ -97,7 +92,7 @@ def make_hybrid_stats(historical_scale, proposed_center) -> NormStats:
             f"proposed center is not finite for asset index(es) {np.flatnonzero(bad).tolist()}")
     if not (np.atleast_1d(scale) > 0).all():
         raise ValidationError("historical scale must be positive (apply the floor first)")
-    return NormStats(center=center, scale=scale, regime="hybrid")
+    return NormStats(center=center, scale=scale)
 
 
 def normalize(series, stats: NormStats) -> np.ndarray:

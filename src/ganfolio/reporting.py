@@ -31,13 +31,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_training_log_csv(path, log) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Stream ``rows`` after ``header`` through csv.writer (quoting, CRLF)."""
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["epoch", "critic_loss", "generator_loss", "ap_loss", "proposer_mse"])
-        for row in log:
-            writer.writerow([row.epoch, _fmt(row.critic_loss), _fmt(row.generator_loss),
-                             _fmt(row.ap_loss), _fmt(row.proposer_mse)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_training_log_csv(path, log) -> None:
+    _write_csv(path, ["epoch", "critic_loss", "generator_loss", "ap_loss", "proposer_mse"],
+               ([row.epoch, _fmt(row.critic_loss), _fmt(row.generator_loss),
+                 _fmt(row.ap_loss), _fmt(row.proposer_mse)] for row in log))
 
 
 def write_value_series_csv(path, dates, series: dict[str, np.ndarray]) -> None:
@@ -45,42 +50,33 @@ def write_value_series_csv(path, dates, series: dict[str, np.ndarray]) -> None:
     for name in names:
         if len(series[name]) != len(dates):
             raise ValidationError(f"series {name!r} length {len(series[name])} vs {len(dates)} dates")
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", *names])
-        for i, date in enumerate(dates):
-            writer.writerow([date] + [_fmt(series[name][i]) for name in names])
+    _write_csv(path, ["date", *names],
+               ([date] + [_fmt(series[name][i]) for name in names]
+                for i, date in enumerate(dates)))
 
 
 def write_scatter_csv(path, scatter: np.ndarray) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["draw", "annual_return", "annual_sharpe"])
-        for i, (ret, sharpe) in enumerate(np.asarray(scatter)):
-            writer.writerow([i, _fmt(ret), _fmt(sharpe)])
+    _write_csv(path, ["draw", "annual_return", "annual_sharpe"],
+               ([i, _fmt(ret), _fmt(sharpe)] for i, (ret, sharpe) in enumerate(np.asarray(scatter))))
 
 
 def write_weights_csv(path, schedule: WeightSchedule, dates, tickers) -> None:
     """Long-format weights: one row per (rebalance date, ticker)."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "ticker", "weight"])
-        for i, day in enumerate(schedule.rebalance_indices):
-            for j, ticker in enumerate(tickers):
-                writer.writerow([dates[day - 1], ticker, _fmt(schedule.weights[i, j])])
+    _write_csv(path, ["date", "ticker", "weight"],
+               ([dates[day - 1], ticker, _fmt(schedule.weights[i, j])]
+                for i, day in enumerate(schedule.rebalance_indices)
+                for j, ticker in enumerate(tickers)))
 
 
 def write_overlay_csv(path, frame: PriceFrame, paths: np.ndarray) -> None:
     """Real series next to each draw's synthetic series, per asset and day."""
     paths = np.asarray(paths)
     n_draws = paths.shape[0]
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "ticker", "actual"] + [f"draw_{k + 1}" for k in range(n_draws)])
-        for j, ticker in enumerate(frame.tickers):
-            for d, date in enumerate(frame.dates):
-                writer.writerow([date, ticker, _fmt(frame.prices[j, d])]
-                                + [_fmt(paths[k, j, d]) for k in range(n_draws)])
+    _write_csv(path, ["date", "ticker", "actual"] + [f"draw_{k + 1}" for k in range(n_draws)],
+               ([date, ticker, _fmt(frame.prices[j, d])]
+                + [_fmt(paths[k, j, d]) for k in range(n_draws)]
+                for j, ticker in enumerate(frame.tickers)
+                for d, date in enumerate(frame.dates)))
 
 
 def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.ndarray]:

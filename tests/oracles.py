@@ -278,8 +278,7 @@ def per_draw_paths(bundle, prices, n_draws, seed):
                     stats.scale, tape_forward(bundle.proposer, proposer_input).values)
             elif config.resolved_regime == "eavesdrop":
                 window = prices[:, start - 1 - h:start - 1 + f]
-                stats = NormStats(center=window.mean(axis=1), scale=stats.scale,
-                                  regime="eavesdrop")
+                stats = NormStats(center=window.mean(axis=1), scale=stats.scale)
             z = rng.standard_normal(m)
             code = tape_forward(bundle.conditioner, normalize(historical, stats).ravel()).values
             block = tape_forward(bundle.simulator, np.concatenate([z, code])).values

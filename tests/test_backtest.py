@@ -15,9 +15,10 @@ def schedule(indices, weights):
 
 
 class TestWeightSchedule:
-    def test_rejects_uneven_spacing(self):
-        with pytest.raises(ValidationError, match="constant"):
-            schedule([1, 3, 7], np.tile([0.5, 0.5], (3, 1)))
+    def test_rejects_non_increasing_indices(self):
+        for indices in ([1, 3, 3], [7, 3, 9]):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                schedule(indices, np.tile([0.5, 0.5], (3, 1)))
 
     def test_rejects_off_simplex(self):
         with pytest.raises(ValidationError, match="sum to 1"):

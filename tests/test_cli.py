@@ -14,6 +14,7 @@ from ganfolio.config import RunConfig, load_run_config, parse_config_text, write
 from ganfolio.errors import ValidationError
 from ganfolio.marketdata import write_price_csv
 from ganfolio.networks import load_networks, save_networks
+from ganfolio.reporting import read_csv_columns
 
 from conftest import sinusoid_frame
 
@@ -30,10 +31,11 @@ SPLIT = "2020-01-01+00026"  # leaves 20 test days: (20-8) divisible by 4
 TRAIN_FLAGS = ["--h", "8", "--f", "4", "--m", "6", "--epochs", "2", "--seed", "3"]
 
 
-def run_python(*args):
+def run_python(*args, **env):
     """Run the interpreter on ``args`` in a fresh process that imports this checkout."""
     src = Path(ganfolio.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=str(src), **env),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -359,3 +361,51 @@ class TestEavesdropGating:
                          "--out", str(out)]) == 0
             contents.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert contents[0] == contents[1]
+
+
+# train, simulate and backtest in one process; argv: data csv, split date, out dir
+PIPELINE = """
+import sys
+from ganfolio.cli import main
+data, split, out = sys.argv[1:]
+common = ["--data", data, "--split-date", split, "--seed", "3"]
+for argv in (["train", *common, "--h", "8", "--f", "20", "--m", "100", "--epochs", "1",
+              "--out", out + "/train"],
+             ["simulate", *common, "--bundle", out + "/train/bundle.gfa", "--n-draws", "100",
+              "--out", out + "/simulate"],
+             ["backtest", *common, "--bundle", out + "/train/bundle.gfa", "--n-draws", "100",
+              "--out", out + "/backtest"]):
+    assert main(argv) == 0, argv
+"""
+
+
+class TestBlasThreadCounts:
+    def test_one_and_two_threads(self, tmp_path):
+        # 5 assets, f=20 and m=100 make the simulator's batched products big
+        # enough for OpenBLAS to split them across two threads, which can round
+        # a path value differently (docs/formats.md, "BLAS thread count")
+        data = tmp_path / "prices.csv"
+        frame = sinusoid_frame(5, days=82, seed=0)
+        write_price_csv(frame, data)
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / f"threads_{threads}"
+            done = run_python("-c", PIPELINE, str(data), frame.dates[33], str(outs[threads]),
+                              OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+        one, two = outs["1"], outs["2"]
+        for name in ("bundle.gfa", "training_log.csv"):
+            assert (one / "train" / name).read_bytes() == (two / "train" / name).read_bytes()
+        paths = np.load(one / "simulate" / "paths.npy")
+        assert np.abs(np.load(two / "simulate" / "paths.npy") - paths).max() \
+            <= 1e-12 * np.abs(paths).max()
+        for name, text in (("value_series.csv", ("date",)), ("scatter.csv", ()),
+                           ("weights_cgan.csv", ("date", "ticker"))):
+            a = read_csv_columns(one / "backtest" / name, text=text)
+            b = read_csv_columns(two / "backtest" / name, text=text)
+            assert a.keys() == b.keys()
+            for column in a:
+                if column in text:
+                    assert a[column] == b[column]
+                else:
+                    np.testing.assert_allclose(b[column], a[column], rtol=1e-10, atol=1e-12)

@@ -52,8 +52,7 @@ def normalized_window(frame, config, start=1):
     window = extract_window(frame, start, config.h, config.f)
     stats = fit_standard(window.historical)
     full = normalize(window.full, stats)
-    return WindowSample(full=full, historical=full[:, :config.h],
-                        future=full[:, config.h:], start_index=start)
+    return WindowSample(full=full, historical=full[:, :config.h])
 
 
 class TestTrainConfig:

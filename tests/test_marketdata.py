@@ -146,9 +146,7 @@ class TestExtractWindow:
         window = extract_window(frame, 1, 40, 20)
         assert window.full.shape == (2, 60)
         assert np.array_equal(window.historical, frame.prices[:, :40])
-        assert np.array_equal(window.future, frame.prices[:, 40:60])
         assert window.historical.base is window.full.base
-        assert window.future.base is window.full.base
 
     def test_shifted_start(self):
         frame = make_frame(np.arange(2.0, 122.0).reshape(2, 60))
@@ -165,8 +163,8 @@ class TestExtractWindow:
         frame = make_frame(1.0 + rng.random((3, 30)))
         for start in (1, 5, 11):
             window = extract_window(frame, start, 12, 8)
-            joined = np.hstack([window.historical, window.future])
-            assert np.array_equal(joined, frame.prices[:, start - 1:start + 19])
+            assert np.array_equal(window.full, frame.prices[:, start - 1:start + 19])
+            assert np.array_equal(window.historical, window.full[:, :12])
 
 
 class TestSimpleReturns:

@@ -17,6 +17,14 @@ def built(role, **kwargs):
     return init_parameters(net, np.random.default_rng(0))
 
 
+def output_width(net):
+    return net.biases[-1].size
+
+
+def parameter_count(net):
+    return sum(p.size for p in net.parameters())
+
+
 def affine_param_count(dims):
     return sum(i * o + o for i, o in dims)
 
@@ -24,11 +32,11 @@ def affine_param_count(dims):
 class TestBuildNetwork:
     def test_conditioner_widths(self):
         net = build_network("conditioner", 10, 40, 20, 100)
-        assert net.input_width == 400 and net.output_width == 16
+        assert net.input_width == 400 and output_width(net) == 16
 
     def test_simulator_widths(self):
         net = build_network("simulator", 10, 40, 20, 100)
-        assert net.input_width == 116 and net.output_width == 200
+        assert net.input_width == 116 and output_width(net) == 200
 
     def test_parameter_counts_hand_computed(self):
         expected = {
@@ -41,8 +49,8 @@ class TestBuildNetwork:
             "proposer": affine_param_count([(N * (H + 1), 512), (512, 512), (512, N)]),
         }
         for role, count in expected.items():
-            assert build_network(role, N, H, F, M).n_parameters() == count
-        assert (build_network("hybrid_simulator", N, H, F, M).n_parameters()
+            assert parameter_count(build_network(role, N, H, F, M)) == count
+        assert (parameter_count(build_network("hybrid_simulator", N, H, F, M))
                 == expected["simulator"])
 
     def test_unknown_role(self):

@@ -11,7 +11,6 @@ class TestFitStandard:
         stats = fit_standard(np.array([10.0, 10.0, 10.0, 10.0]))
         assert stats.center == 10.0
         assert stats.scale == pytest.approx(1e-8 * 10.0)
-        assert stats.regime == "standard"
 
     def test_two_point_series(self):
         # mean 2, population sigma 1 -> scale 3
@@ -45,7 +44,6 @@ class TestFitEavesdrop:
         stats = fit_eavesdrop(series, h=2, allow_forward_bias=True)
         assert stats.center == 12.0
         assert stats.scale == fit_standard(series[:2]).scale
-        assert stats.regime == "eavesdrop"
 
     def test_constant_series(self):
         stats = fit_eavesdrop(np.full(6, 7.0), h=3, allow_forward_bias=True)
@@ -59,16 +57,16 @@ class TestFitEavesdrop:
 
 class TestNormalizeDenormalize:
     def test_center_maps_to_zero(self):
-        stats = NormStats(np.array(10.0), np.array(6.0), "standard")
+        stats = NormStats(np.array(10.0), np.array(6.0))
         assert normalize(np.array([10.0]), stats)[0] == 0.0
 
     def test_unit_points(self):
-        stats = NormStats(np.array(10.0), np.array(6.0), "standard")
+        stats = NormStats(np.array(10.0), np.array(6.0))
         assert normalize(np.array([16.0]), stats)[0] == 1.0
         assert normalize(np.array([4.0]), stats)[0] == -1.0
 
     def test_denormalize_values(self):
-        stats = NormStats(np.array(10.0), np.array(6.0), "standard")
+        stats = NormStats(np.array(10.0), np.array(6.0))
         assert denormalize(np.array([0.0]), stats)[0] == 10.0
         assert denormalize(np.array([1.0]), stats)[0] == 16.0
 
