@@ -47,34 +47,40 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ganfolio",
-        description="Adversarial market-scenario generation and max-Sharpe backtesting")
+        description="Adversarial market-scenario generation and max-Sharpe backtesting",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"ganfolio {__version__}")
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
 
-    p = sub.add_parser("ingest", help="validate a price CSV and print a summary")
+    p = sub.add_parser("ingest", allow_abbrev=False,
+                       help="validate a price CSV and print a summary")
     p.add_argument("--data", required=True, help="price CSV path")
     p.add_argument("--tickers", default=None, help="comma-separated ticker subset/order")
     p.set_defaults(handler=_cmd_ingest)
 
-    p = sub.add_parser("train", help="train a model and persist the bundle")
+    p = sub.add_parser("train", allow_abbrev=False,
+                       help="train a model and persist the bundle")
     _add_config_arguments(p, ("data", "tickers", "split_date", "model", "h", "f", "m",
                               "epochs", "lambda1", "lambda2", "lr", "beta1", "beta2",
                               "seed", "regime", "allow_forward_bias", "out"))
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("simulate", help="draw synthetic paths from a trained bundle")
+    p = sub.add_parser("simulate", allow_abbrev=False,
+                       help="draw synthetic paths from a trained bundle")
     _add_config_arguments(p, ("data", "tickers", "split_date", "bundle", "n_draws",
                               "seed", "out"))
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("backtest", help="backtest a model (and the Markowitz baseline)")
+    p = sub.add_parser("backtest", allow_abbrev=False,
+                       help="backtest a model (and the Markowitz baseline)")
     _add_config_arguments(p, ("data", "tickers", "split_date", "model", "bundle", "h",
                               "eta", "n_draws", "seed", "r_f", "allow_forward_bias",
                               "out"))
     p.set_defaults(handler=_cmd_backtest)
 
-    p = sub.add_parser("report", help="render SVG plots from a backtest run directory")
+    p = sub.add_parser("report", allow_abbrev=False,
+                       help="render SVG plots from a backtest run directory")
     p.add_argument("--run", required=True, help="directory produced by `ganfolio backtest`")
     p.set_defaults(handler=_cmd_report)
     return parser

@@ -261,8 +261,7 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
                                    f"start {starts[idx]}: {fault}") from fault
         epoch_mse = validation_mse()
         if epoch_mse < best_mse:
-            # adam_step allocates fresh arrays, so holding references is safe
-            best_mse, best_params = epoch_mse, proposer.parameters()
+            best_mse, best_params = epoch_mse, [p.copy() for p in proposer.parameters()]
     proposer.set_parameters(best_params)
     return proposer, best_mse
 

@@ -13,6 +13,7 @@ conversion to 0-based numpy slices happens inside :func:`extract_window`.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,8 +123,9 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
             except ValueError:
                 raise ValidationError(
                     f"{path}: unparseable value {cell!r} at row {row_no}, ticker {ticker}") from None
-            if not np.isfinite(value):
-                raise ValidationError(f"{path}: NaN value at row {row_no}, ticker {ticker}")
+            if not math.isfinite(value):
+                kind = "NaN" if math.isnan(value) else "infinite"
+                raise ValidationError(f"{path}: {kind} value at row {row_no}, ticker {ticker}")
             if value <= 0:
                 raise ValidationError(
                     f"{path}: non-positive price {value} at row {row_no}, ticker {ticker}")

@@ -9,12 +9,20 @@ palette.  CSV schemas (documented in docs/formats.md):
 * weights over time: date,ticker,weight
 * path overlay:      date,ticker,actual,draw_1,...,draw_k
 
-Missing/not-applicable numbers are written as ``nan``.
+Every export writes the bytes csv.writer's default dialect writes for the
+same rows: text cells (dates, tickers, epoch and draw numbers) quoted only
+where csv.writer quotes them, floats as their shortest round-trip ``repr``
+(``nan`` marks a missing or not-applicable number), CRLF line ends.
+``overlay.csv`` holds every generated value, so ``_write_csv`` makes those
+bytes in bulk: it quotes each distinct text cell once and joins the ``repr``
+of each float, with no per-cell numpy indexing and no csv.writer scan of the
+float cells.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +34,47 @@ from .marketdata import PriceFrame
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
+# float cells turned into Python floats at a time (about 2 MiB of objects)
+_BLOCK_CELLS = 1 << 16
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
+def _write_csv(path, header, blocks) -> None:
+    """Write ``header``, then one line per row of each ``(labels, values)`` block.
 
-def _write_csv(path, header, rows) -> None:
-    """Stream ``rows`` after ``header`` through csv.writer (quoting, CRLF)."""
+    ``labels[i]`` holds row i's text cells and ``values`` is a float matrix
+    with one row per entry of ``labels``.  The bytes equal csv.writer's for
+    the rows ``[*labels[i], *map(float, values[i])]``.
+    """
+    scratch = io.StringIO()
+    quoter = csv.writer(scratch)
+    quoted = {}
+
+    def quote(cell) -> str:
+        if cell not in quoted:
+            scratch.seek(0)
+            scratch.truncate()
+            quoter.writerow(("", cell))  # a later cell, never a row's lone one
+            quoted[cell] = scratch.getvalue()[1:-2]
+        return quoted[cell]
+
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(header)
+        for labels, values in blocks:
+            values = np.asarray(values, dtype=np.float64)
+            step = max(1, _BLOCK_CELLS // max(1, values.shape[1]))
+            for start in range(0, len(values), step):
+                rows = values[start:start + step].tolist()
+                # csv.writer writes a row that is one empty cell as ""
+                handle.write("".join(
+                    (",".join([*map(quote, cells), *map(repr, row)]) or '""') + "\r\n"
+                    for cells, row in zip(labels[start:start + step], rows, strict=True)))
 
 
 def write_training_log_csv(path, log) -> None:
+    values = np.array([[row.critic_loss, row.generator_loss, row.ap_loss, row.proposer_mse]
+                       for row in log], dtype=np.float64).reshape(len(log), 4)
     _write_csv(path, ["epoch", "critic_loss", "generator_loss", "ap_loss", "proposer_mse"],
-               ([row.epoch, _fmt(row.critic_loss), _fmt(row.generator_loss),
-                 _fmt(row.ap_loss), _fmt(row.proposer_mse)] for row in log))
+               [([(row.epoch,) for row in log], values)])
 
 
 def write_value_series_csv(path, dates, series: dict[str, np.ndarray]) -> None:
@@ -50,33 +82,34 @@ def write_value_series_csv(path, dates, series: dict[str, np.ndarray]) -> None:
     for name in names:
         if len(series[name]) != len(dates):
             raise ValidationError(f"series {name!r} length {len(series[name])} vs {len(dates)} dates")
-    _write_csv(path, ["date", *names],
-               ([date] + [_fmt(series[name][i]) for name in names]
-                for i, date in enumerate(dates)))
+    values = np.array([series[name] for name in names],
+                      dtype=np.float64).reshape(len(names), len(dates)).T
+    _write_csv(path, ["date", *names], [([(date,) for date in dates], values)])
 
 
 def write_scatter_csv(path, scatter: np.ndarray) -> None:
     _write_csv(path, ["draw", "annual_return", "annual_sharpe"],
-               ([i, _fmt(ret), _fmt(sharpe)] for i, (ret, sharpe) in enumerate(np.asarray(scatter))))
+               [([(i,) for i in range(len(scatter))], scatter)])
 
 
 def write_weights_csv(path, schedule: WeightSchedule, dates, tickers) -> None:
     """Long-format weights: one row per (rebalance date, ticker)."""
     _write_csv(path, ["date", "ticker", "weight"],
-               ([dates[day - 1], ticker, _fmt(schedule.weights[i, j])]
-                for i, day in enumerate(schedule.rebalance_indices)
-                for j, ticker in enumerate(tickers)))
+               [([(dates[day - 1], ticker) for day in schedule.rebalance_indices
+                  for ticker in tickers], schedule.weights.reshape(-1, 1))])
 
 
 def write_overlay_csv(path, frame: PriceFrame, paths: np.ndarray) -> None:
-    """Real series next to each draw's synthetic series, per asset and day."""
+    """Real series next to each draw's synthetic series, per asset and day.
+
+    One block per ticker, so only one (days, 1 + draws) copy exists at a time.
+    """
     paths = np.asarray(paths)
     n_draws = paths.shape[0]
     _write_csv(path, ["date", "ticker", "actual"] + [f"draw_{k + 1}" for k in range(n_draws)],
-               ([date, ticker, _fmt(frame.prices[j, d])]
-                + [_fmt(paths[k, j, d]) for k in range(n_draws)]
-                for j, ticker in enumerate(frame.tickers)
-                for d, date in enumerate(frame.dates)))
+               (([(date, ticker) for date in frame.dates],
+                 np.column_stack((frame.prices[j], paths[:, j].T)))
+                for j, ticker in enumerate(frame.tickers)))
 
 
 def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.ndarray]:

@@ -232,6 +232,26 @@ class TestSimulateCommand:
         assert "truncate" in capsys.readouterr().err
 
 
+class TestFlagPrefixes:
+    """A flag a command lacks is an error, never the option it is a prefix of."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", ["--h", "40"]),  # a prefix of --help
+        ("backtest", ["--m", "100"]),  # a prefix of --model
+    ])
+    def test_unknown_prefix_exit_2(self, data_csv, trained_run, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--data", str(data_csv), "--split-date", SPLIT,
+                  "--bundle", str(trained_run / "bundle.gfa"), "--n-draws", "2",
+                  *flag, "--out", str(out)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBacktestAndReport:
     def test_all_csvs_emitted(self, run_dir):
         for name in ("value_series.csv", "scatter.csv", "weights_cgan.csv",

@@ -35,6 +35,13 @@ class TestLoadPriceCsv:
         with pytest.raises(ValidationError, match=r"NaN.*row 3"):
             load_price_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+    def test_infinite_cell_named_infinite(self, tmp_path, cell):
+        path = write_csv(tmp_path / "p.csv",
+                         f"date,A,B\n2020-01-01,1,2\n2020-01-02,2,{cell}\n")
+        with pytest.raises(ValidationError, match=r"infinite value at row 3, ticker B"):
+            load_price_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_price_csv(tmp_path / "absent.csv")
