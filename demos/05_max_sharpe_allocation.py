@@ -11,7 +11,12 @@ import itertools
 
 import numpy as np
 
-from ganfolio import MomentEstimate, max_sharpe_weights, sharpe_ratio
+from ganfolio import MomentEstimate, max_sharpe_weights
+
+
+def sharpe_ratio(v, moments, r_f=0.0):
+    """(v'r - r_f) / sqrt(v'Sv)"""
+    return (v @ moments.mean_returns - r_f) / np.sqrt(v @ moments.covariance @ v)
 
 
 def show(title, moments, r_f=0.0):
@@ -21,27 +26,27 @@ def show(title, moments, r_f=0.0):
 
 
 # 1. closed-form check: uncorrelated equal variances -> weights ~ means
-m = MomentEstimate(np.array([0.1, 0.2]), np.diag([0.04, 0.04]), 10)
+m = MomentEstimate(np.array([0.1, 0.2]), np.diag([0.04, 0.04]))
 v = show("tangency, r = (0.1, 0.2), equal variances:", m)
 assert np.abs(v - [1 / 3, 2 / 3]).max() < 1e-4
 
 # 2. a dominant asset takes everything
-m = MomentEstimate(np.array([0.15, -0.02]), np.diag([0.02, 0.06]), 10)
+m = MomentEstimate(np.array([0.15, -0.02]), np.diag([0.02, 0.06]))
 show("dominant first asset:", m)
 
 # 3. exchangeable assets tie (singular covariance); the solver returns the
 #    minimum-norm optimum, which shares weight equally
-m = MomentEstimate(np.array([0.1, 0.1, 0.1]), np.full((3, 3), 0.05), 10)
+m = MomentEstimate(np.array([0.1, 0.1, 0.1]), np.full((3, 3), 0.05))
 show("identical assets (tie-break):", m)
 
 # 4. nothing beats the risk-free rate -> min-variance fallback
-m = MomentEstimate(np.array([-0.05, -0.01]), np.diag([0.09, 0.01]), 10)
+m = MomentEstimate(np.array([-0.05, -0.01]), np.diag([0.09, 0.01]))
 show("all assets below r_f (min-variance fallback):", m)
 
 # 5. agreement with an exhaustive coarse grid on a random 3-asset instance
 rng = np.random.default_rng(12)
 a = rng.standard_normal((3, 3)) * 0.1
-m = MomentEstimate(rng.random(3) * 0.08, a @ a.T + 0.01 * np.eye(3), 30)
+m = MomentEstimate(rng.random(3) * 0.08, a @ a.T + 0.01 * np.eye(3))
 v = max_sharpe_weights(m)
 steps = 200
 grid_best = max(

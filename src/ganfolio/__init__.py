@@ -47,9 +47,7 @@ from .portfolio import (
     markowitz_weights,
     max_sharpe_weights,
     min_variance_weights,
-    portfolio_return_risk,
     project_to_simplex,
-    sharpe_ratio,
 )
 from .backtest import (
     REBALANCE_SETTINGS,
@@ -105,9 +103,7 @@ __all__ = [
     "markowitz_weights",
     "max_sharpe_weights",
     "min_variance_weights",
-    "portfolio_return_risk",
     "project_to_simplex",
-    "sharpe_ratio",
     "REBALANCE_SETTINGS",
     "AnnualizedMetrics",
     "BacktestResult",

@@ -25,22 +25,22 @@ class RunConfig:
     data: str = ""
     tickers: str = ""  # comma-separated; empty = header order
     split_date: str = ""
-    model: str = "cgan"
-    h: int = 40
-    f: int = 20
-    m: int = 100
-    epochs: int = 1000
-    lambda1: float = 10.0
-    lambda2: float = 3.0
-    lr: float = 2e-5
-    beta1: float = 0.5
-    beta2: float = 0.999
+    model: str = TrainConfig.model_kind
+    h: int = TrainConfig.h
+    f: int = TrainConfig.f
+    m: int = TrainConfig.m
+    epochs: int = TrainConfig.epochs
+    lambda1: float = TrainConfig.lambda1
+    lambda2: float = TrainConfig.lambda2
+    lr: float = TrainConfig.lr
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
     eta: int = REBALANCE_SETTINGS["balanced"]
     n_draws: int = 1000
-    seed: int = 0
+    seed: int = TrainConfig.seed
     r_f: float = 0.0
-    regime: str = "auto"
-    allow_forward_bias: bool = False
+    regime: str = TrainConfig.regime
+    allow_forward_bias: bool = TrainConfig.allow_forward_bias
     bundle: str = ""
     out: str = ""
 
@@ -64,13 +64,12 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         if self.model == "markowitz":
             raise ValidationError("the markowitz baseline has no training configuration")
-        return TrainConfig(model_kind=self.model, h=self.h, f=self.f, m=self.m,
-                           epochs=self.epochs, lambda1=self.lambda1, lambda2=self.lambda2,
-                           lr=self.lr, beta1=self.beta1, beta2=self.beta2, seed=self.seed,
-                           regime=self.regime, allow_forward_bias=self.allow_forward_bias)
+        return TrainConfig(model_kind=self.model,
+                           **{key: getattr(self, key) for key in _TRAIN_KEYS})
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_TRAIN_KEYS = [f.name for f in fields(TrainConfig) if f.name in _FIELDS]
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 

@@ -30,9 +30,9 @@ import numpy as np
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
-from .networks import (HYBRID_OUTPUT_SCALE, AdamState, MlpNetwork, adam_step, backward,
-                       build_network, forward, init_parameters, load_networks, parameter_gradients,
-                       sample_dropout_masks, save_networks, tangent_forward, train_forward)
+from .networks import (AdamState, MlpNetwork, adam_step, backward, build_network, forward,
+                       init_parameters, load_networks, parameter_gradients, sample_dropout_masks,
+                       save_networks, tangent_forward, train_forward)
 from .normalization import (NormStats, denormalize, fit_eavesdrop, fit_standard,
                             make_hybrid_stats, normalize)
 
@@ -70,7 +70,7 @@ class TrainConfig:
     seed: int = 0
     regime: str = "auto"  # auto | standard | eavesdrop | hybrid
     allow_forward_bias: bool = False
-    output_scale: float | None = None
+    output_scale: float | None = None  # None: the simulator role's default
     proposer_mode: str = "network"  # "copy_mu" swaps in the identity-on-mean diagnostic
 
     def __post_init__(self):
@@ -116,12 +116,6 @@ class TrainConfig:
         if self.regime != "auto":
             return self.regime
         return "hybrid" if self.is_hybrid else "standard"
-
-    @property
-    def resolved_output_scale(self) -> float:
-        if self.output_scale is not None:
-            return float(self.output_scale)
-        return HYBRID_OUTPUT_SCALE if self.is_hybrid else 1.0
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,7 @@ def build_bundle(config: TrainConfig, tickers, proposer: MlpNetwork | None = Non
     sim_role = "hybrid_simulator" if config.is_hybrid else "simulator"
     nets = {"conditioner": build_network(cond_role, n, config.h, config.f, config.m),
             "simulator": build_network(sim_role, n, config.h, config.f, config.m,
-                                       output_scale=config.resolved_output_scale),
+                                       output_scale=config.output_scale),
             "discriminator": build_network("discriminator", n, config.h, config.f, config.m)}
     if config.is_acgan:
         nets["decoder"] = build_network("decoder", n, config.h, config.f, config.m)

@@ -7,9 +7,10 @@ LR = leaky-relu slope, DP = dropout rate):
 * decoder:                16 -> 512 LR(0.2) -> 512 LR(0.2) -> DP(0.4) -> N*h
 * simulator:              m+16 -> 128 -> 256 -> 512 -> 1024 (all LR(0.2))
                           -> N*f tanh
-* hybrid_simulator:       the simulator stack followed by a fixed x100 output
-                          scaling (the proposed-center regime shifts targets
-                          outside tanh range)
+* hybrid_simulator:       the simulator stack followed by a x100 output
+                          scaling, this role's default, which only
+                          TrainConfig.output_scale overrides (the proposed-
+                          center regime shifts targets outside tanh range)
 * discriminator:          N*(h+f) -> 512 LR(0.2) -> 512 LR(0.2) -> DP(0.4)
                           -> 512 LR(0.2) -> 1
 * proposer:               N*(h+1) -> 512 LR(0.2) -> 512 LR(0.2) -> DP(0.4)
@@ -114,8 +115,8 @@ def build_network(role: str, n_assets: int, h: int, f: int, m: int,
                   output_scale: float | None = None) -> MlpNetwork:
     """Build the layer stack for one role.
 
-    ``output_scale`` only applies to simulator roles; it defaults to 1 for
-    ``simulator`` and to 100 for ``hybrid_simulator``.
+    ``output_scale`` only applies to simulator roles.  None means the role's
+    default, 1 for ``simulator`` and HYBRID_OUTPUT_SCALE for ``hybrid_simulator``.
     """
     if min(n_assets, h, f, m) <= 0:
         raise ValidationError(f"dimensions must be positive, got N={n_assets} h={h} f={f} m={m}")
@@ -346,17 +347,17 @@ def tangent_forward(net: MlpNetwork, cache: ForwardCache, row: int,
 class AdamState:
     """Bias-corrected Adam accumulators for one parameter list."""
 
-    lr: float = 2e-5
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
+    epsilon: float
     step_count: int = 0
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_parameters(cls, params, lr: float = 2e-5, beta1: float = 0.5,
-                       beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def for_parameters(cls, params, lr: float, beta1: float, beta2: float,
+                       epsilon: float) -> "AdamState":
         return cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
                    first_moment=[np.zeros_like(p) for p in params],
                    second_moment=[np.zeros_like(p) for p in params])

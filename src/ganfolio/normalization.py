@@ -42,7 +42,8 @@ class NormStats:
         if center.shape != scale.shape:
             raise ValidationError(f"center shape {center.shape} vs scale shape {scale.shape}")
         if not np.isfinite(center).all():
-            raise ValidationError("normalization center is not finite")
+            raise ValidationError("normalization center is not finite for asset index(es) "
+                                  f"{np.flatnonzero(~np.isfinite(center)).tolist()}")
         if not (np.isfinite(scale) & (scale > 0)).all():
             raise ValidationError("normalization scale must be positive and finite")
 
@@ -84,15 +85,7 @@ def fit_eavesdrop(full, h: int, allow_forward_bias: bool = False) -> NormStats:
 
 def make_hybrid_stats(historical_scale, proposed_center) -> NormStats:
     """Stats with a proposed surrogate center and the historical 3-sigma scale."""
-    center = np.asarray(proposed_center, dtype=np.float64)
-    scale = np.asarray(historical_scale, dtype=np.float64)
-    bad = ~np.isfinite(np.atleast_1d(center))
-    if bad.any():
-        raise ValidationError(
-            f"proposed center is not finite for asset index(es) {np.flatnonzero(bad).tolist()}")
-    if not (np.atleast_1d(scale) > 0).all():
-        raise ValidationError("historical scale must be positive (apply the floor first)")
-    return NormStats(center=center, scale=scale)
+    return NormStats(center=proposed_center, scale=historical_scale)
 
 
 def normalize(series, stats: NormStats) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Portfolio moments, Sharpe ratio, and long-only max-Sharpe allocation.
+"""Portfolio moments and long-only max-Sharpe allocation.
 
 Maximizing (v'r - r_f) / sqrt(v'Sv) over {v >= 0, sum(v) = 1} is the convex
 program y = argmin_{y >= 0} y'Sy/2 - c'y with c = r - r_f and v = y/sum(y):
@@ -24,7 +24,6 @@ from .marketdata import simple_returns
 # diagonal loading keeps per-draw covariance estimates (few observations,
 # many assets) positive definite
 COVARIANCE_RIDGE = 1e-4
-VARIANCE_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class MomentEstimate:
 
     mean_returns: np.ndarray
     covariance: np.ndarray
-    sample_count: int
 
     def __post_init__(self):
         r = np.asarray(self.mean_returns, dtype=np.float64)
@@ -76,21 +74,7 @@ def estimate_moments(returns, ridge: float = COVARIANCE_RIDGE) -> MomentEstimate
     cov = centered @ centered.T / (t - 1)
     cov = (cov + cov.T) / 2.0
     cov = cov + ridge * (np.trace(cov) / n) * np.eye(n)
-    return MomentEstimate(mean_returns=mean, covariance=cov, sample_count=t)
-
-
-def portfolio_return_risk(weights, moments: MomentEstimate) -> tuple[float, float]:
-    """(v'r, v'Sv) for one weight vector."""
-    v = np.asarray(weights, dtype=np.float64)
-    if v.shape != (moments.n_assets,):
-        raise ValidationError(f"weights shape {v.shape} vs {moments.n_assets} assets")
-    return float(v @ moments.mean_returns), float(v @ moments.covariance @ v)
-
-
-def sharpe_ratio(weights, moments: MomentEstimate, r_f: float = 0.0) -> float:
-    """(v'r - r_f) / sqrt(v'Sv), with the variance floored at 1e-16."""
-    ret, var = portfolio_return_risk(weights, moments)
-    return (ret - r_f) / np.sqrt(max(var, VARIANCE_FLOOR))
+    return MomentEstimate(mean_returns=mean, covariance=cov)
 
 
 def project_to_simplex(v) -> np.ndarray:
@@ -154,8 +138,6 @@ def min_variance_weights(moments: MomentEstimate) -> np.ndarray:
 
 def max_sharpe_weights(moments: MomentEstimate, r_f: float = 0.0) -> np.ndarray:
     """Long-only max-Sharpe weights: nonnegative, summing to 1 within 1e-10."""
-    if not (np.isfinite(moments.mean_returns).all() and np.isfinite(moments.covariance).all()):
-        raise ValidationError("non-finite moments")
     excess = moments.mean_returns - r_f
     if not np.any(excess > 0):
         return min_variance_weights(moments)

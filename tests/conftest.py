@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ganfolio
 from ganfolio.gan import TrainConfig, train
 from ganfolio.marketdata import PriceFrame
+from ganfolio.networks import AdamState
 
 
 def make_frame(prices, tickers=None, start_day=1):
@@ -27,6 +34,21 @@ def sinusoid_frame(n_assets=2, days=30, seed=0):
 
 
 TINY = dict(h=8, f=4, m=6)
+
+
+def run_python(*args, cwd=None, **env):
+    """Run the interpreter on ``args`` in a fresh process that imports this checkout."""
+    src = Path(ganfolio.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(src), **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def adam_state(params, config=TrainConfig(), **overrides):
+    """An AdamState with ``config``'s hyperparameters, as ``train`` builds one."""
+    hyper = dict(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                 epsilon=config.adam_epsilon)
+    return AdamState.for_parameters(params, **{**hyper, **overrides})
 
 
 @pytest.fixture(scope="session")

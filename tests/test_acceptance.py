@@ -20,11 +20,11 @@ from ganfolio.networks import (LayerSpec, MlpNetwork, build_network, init_parame
                                sample_dropout_masks)
 from ganfolio.normalization import (denormalize, fit_eavesdrop, fit_standard,
                                     make_hybrid_stats, normalize)
-from ganfolio.portfolio import MomentEstimate, max_sharpe_weights, sharpe_ratio
+from ganfolio.portfolio import MomentEstimate, max_sharpe_weights
 
 from conftest import make_frame
 from oracles import (critic_loss, generator_loss, gradient_penalty, grid_max_sharpe,
-                     random_psd_instance, tape_forward)
+                     oracle_sharpe, random_psd_instance, tape_forward)
 
 TOY = dict(h=8, f=4, m=6)
 
@@ -204,16 +204,17 @@ class TestMaxSharpeAcceptance:
         for n, cases in plan:
             for _ in range(cases):
                 mu, cov = random_psd_instance(rng, n)
-                m = MomentEstimate(mu, cov, 20)
+                m = MomentEstimate(mu, cov)
                 v = max_sharpe_weights(m)
                 grid_sr, _ = grid_max_sharpe(mu, cov, step=0.001)
-                gap = sharpe_ratio(v, m) - grid_sr
+                sr = oracle_sharpe(v, mu, cov)
+                gap = sr - grid_sr
                 worst_gap = min(worst_gap, gap)
-                assert gap >= -1e-3, f"N={n}: solver {sharpe_ratio(v, m)} vs grid {grid_sr}"
+                assert gap >= -1e-3, f"N={n}: solver {sr} vs grid {grid_sr}"
         report(f"max-Sharpe solver: 200 instances, worst margin over grid {worst_gap:+.2e}")
 
     def test_closed_form_tangency(self):
-        m = MomentEstimate(np.array([0.1, 0.2]), np.diag([0.04, 0.04]), 10)
+        m = MomentEstimate(np.array([0.1, 0.2]), np.diag([0.04, 0.04]))
         v = max_sharpe_weights(m)
         assert np.abs(v - [1 / 3, 2 / 3]).max() < 1e-4
         report("max-Sharpe solver: two-asset tangency (1/3, 2/3) within 1e-4")
@@ -222,8 +223,8 @@ class TestMaxSharpeAcceptance:
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
             mu, cov = random_psd_instance(rng, n)
-            v1 = max_sharpe_weights(MomentEstimate(mu, cov, 10))
-            v2 = max_sharpe_weights(MomentEstimate(mu, 13.0 * cov, 10))
+            v1 = max_sharpe_weights(MomentEstimate(mu, cov))
+            v2 = max_sharpe_weights(MomentEstimate(mu, 13.0 * cov))
             assert np.abs(v1 - v2).max() < 1e-6
         report("max-Sharpe solver: argmax invariant to covariance scaling")
 

@@ -1,9 +1,6 @@
 import csv
-import os
 import shutil
-import subprocess
-import sys
-from pathlib import Path
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,11 +9,12 @@ import ganfolio
 from ganfolio.cli import main
 from ganfolio.config import RunConfig, load_run_config, parse_config_text, write_effective_config
 from ganfolio.errors import ValidationError
+from ganfolio.gan import TrainConfig
 from ganfolio.marketdata import write_price_csv
 from ganfolio.networks import load_networks, save_networks
 from ganfolio.reporting import read_csv_columns
 
-from conftest import sinusoid_frame
+from conftest import run_python, sinusoid_frame
 
 
 @pytest.fixture(scope="module")
@@ -31,19 +29,17 @@ SPLIT = "2020-01-01+00026"  # leaves 20 test days: (20-8) divisible by 4
 TRAIN_FLAGS = ["--h", "8", "--f", "4", "--m", "6", "--epochs", "2", "--seed", "3"]
 
 
-def run_python(*args, **env):
-    """Run the interpreter on ``args`` in a fresh process that imports this checkout."""
-    src = Path(ganfolio.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, *args],
-                          env=dict(os.environ, PYTHONPATH=str(src), **env),
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_cli_import_leaves_autodiff_unloaded():
     # the autodiff engine is the tests' reference; no library path imports it
     done = run_python("-c", "import sys, ganfolio.cli; print('ganfolio.autodiff' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_public_names_resolve_once():
+    assert len(set(ganfolio.__all__)) == len(ganfolio.__all__)
+    for name in ganfolio.__all__:
+        assert hasattr(ganfolio, name), name
 
 
 class TestConfigFile:
@@ -78,6 +74,20 @@ class TestConfigFile:
         assert (config.lambda1, config.lambda2) == (10.0, 3.0)
         assert (config.lr, config.beta1, config.beta2) == (2e-5, 0.5, 0.999)
         assert config.r_f == 0.0 and config.eta == 15
+
+    def test_training_keys_follow_train_config(self):
+        run_keys = {f.name for f in fields(RunConfig)}
+        shared = [f.name for f in fields(TrainConfig) if f.name in run_keys]
+        defaults = TrainConfig()
+        assert RunConfig().model == defaults.model_kind
+        assert all(getattr(RunConfig(), key) == getattr(defaults, key) for key in shared)
+        changed = dict(h=8, f=4, m=6, epochs=3, lambda1=1.5, lambda2=0.5, lr=1e-3, beta1=0.8,
+                       beta2=0.99, seed=7, regime="eavesdrop", allow_forward_bias=True)
+        assert sorted(changed) == sorted(shared)
+        forwarded = RunConfig(model="acgan", **changed).train_config()
+        assert forwarded.model_kind == "acgan"
+        for key, value in changed.items():
+            assert getattr(forwarded, key) == value != getattr(defaults, key), key
 
 
 class TestIngest:

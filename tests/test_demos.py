@@ -1,0 +1,21 @@
+"""The demos that run in about a second exit 0 with nothing on stderr.
+
+Demos 04 and 06 train models for 10-20 s each, so they are left to be run
+by hand.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from conftest import run_python
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_market_data_and_windows", "02_normalization_regimes",
+                                  "03_gradient_penalty", "05_max_sharpe_allocation"])
+def test_demo_runs_clean(name, tmp_path):
+    done = run_python(str(DEMOS / f"{name}.py"), cwd=tmp_path, TMPDIR=str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

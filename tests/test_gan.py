@@ -11,11 +11,11 @@ from ganfolio.errors import NumericFault, ValidationError
 from ganfolio.gan import (TrainConfig, build_bundle, load_bundle, propose_mean, save_bundle,
                           simulate_paths, train, train_proposer, window_stats)
 from ganfolio.marketdata import WindowSample, extract_window
-from ganfolio.networks import (MlpNetwork, build_network, forward, load_networks,
+from ganfolio.networks import (LayerSpec, MlpNetwork, build_network, forward, load_networks,
                                sample_dropout_masks, save_networks)
 from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
-from conftest import TINY, make_frame, sinusoid_frame
+from conftest import TINY, adam_state, make_frame, sinusoid_frame
 import oracles
 from oracles import critic_loss, generator_loss, gradient_penalty, per_draw_paths
 
@@ -78,8 +78,17 @@ class TestTrainConfig:
             TrainConfig(model_kind="cgan", regime="hybrid")
 
     def test_output_scale_defaults(self):
-        assert TrainConfig(model_kind="cgan").resolved_output_scale == 1.0
-        assert TrainConfig(model_kind="hybrid_cgan").resolved_output_scale == 100.0
+        # the simulator role decides the x100 default; output_scale only overrides it
+        def simulator_layers(kind, **overrides):
+            config = TrainConfig(model_kind=kind, proposer_mode="copy_mu", **TINY, **overrides)
+            return build_bundle(config, ("A", "B")).simulator.layers
+
+        for kind in ("cgan", "acgan"):
+            assert all(spec.kind != "scale" for spec in simulator_layers(kind))
+        for kind in ("hybrid_cgan", "hybrid_acgan"):
+            assert simulator_layers(kind)[-1] == LayerSpec("scale", param=100.0)
+            assert all(spec.kind != "scale"
+                       for spec in simulator_layers(kind, output_scale=1.0))
 
 
 class TestGradientPenalty:
@@ -205,7 +214,6 @@ class TestLosses:
 class TestSteps:
     def test_critic_step_touches_only_discriminator(self, tiny_frame):
         from ganfolio.gan import critic_step
-        from ganfolio.networks import AdamState
 
         config = TrainConfig(model_kind="cgan", epochs=1, seed=0, **TINY)
         bundle = build_bundle(config, tiny_frame.tickers)
@@ -216,7 +224,7 @@ class TestSteps:
                                     ("discriminator", bundle.discriminator))}
         rngs = {"conditioner": np.random.default_rng(0), "simulator": np.random.default_rng(1),
                 "discriminator": np.random.default_rng(2), "eps": np.random.default_rng(3)}
-        optim = {"discriminator": AdamState.for_parameters(bundle.discriminator.parameters())}
+        optim = {"discriminator": adam_state(bundle.discriminator.parameters(), config)}
         critic_step(bundle, window, np.zeros(config.m), rngs, optim)
         assert all(np.array_equal(p, q) for p, q in
                    zip(before["conditioner"], bundle.conditioner.parameters()))
@@ -227,7 +235,6 @@ class TestSteps:
 
     def test_generator_step_leaves_discriminator(self, tiny_frame):
         from ganfolio.gan import generator_step
-        from ganfolio.networks import AdamState
 
         config = TrainConfig(model_kind="cgan", epochs=1, seed=0, **TINY)
         bundle = build_bundle(config, tiny_frame.tickers)
@@ -235,8 +242,8 @@ class TestSteps:
         disc_before = [p.copy() for p in bundle.discriminator.parameters()]
         rngs = {"conditioner": np.random.default_rng(0), "simulator": np.random.default_rng(1),
                 "discriminator": np.random.default_rng(2)}
-        optim = {"conditioner": AdamState.for_parameters(bundle.conditioner.parameters()),
-                 "simulator": AdamState.for_parameters(bundle.simulator.parameters())}
+        optim = {"conditioner": adam_state(bundle.conditioner.parameters(), config),
+                 "simulator": adam_state(bundle.simulator.parameters(), config)}
         generator_step(bundle, window, np.zeros(config.m), rngs, optim)
         assert all(np.array_equal(p, q)
                    for p, q in zip(disc_before, bundle.discriminator.parameters()))

@@ -17,11 +17,11 @@ from ganfolio.gan import (MODEL_KINDS, TrainConfig, _normalized_window, _rng, _t
                           build_bundle, critic_gradients, critic_step, generator_gradients,
                           generator_step, mse_gradients, window_stats)
 from ganfolio.marketdata import extract_window
-from ganfolio.networks import (AdamState, LayerSpec, MlpNetwork, build_network,
+from ganfolio.networks import (LayerSpec, MlpNetwork, build_network,
                                init_parameters, sample_dropout_masks, tangent_forward,
                                train_forward)
 
-from conftest import sinusoid_frame
+from conftest import adam_state, sinusoid_frame
 from oracles import critic_loss, generator_loss, tape_forward, tape_training_steps
 
 WIDTHS = {"toy": (2, dict(h=8, f=4, m=6)), "protocol": (5, dict(h=40, f=20, m=100))}
@@ -144,8 +144,7 @@ def fresh_training_state(bundle):
     rngs = {name: _rng(4, "dropout", name)
             for name in ("conditioner", "simulator", "discriminator", "decoder")}
     rngs["eps"] = _rng(4, "eps")
-    optim = {name: AdamState.for_parameters(net.parameters(), lr=bundle.config.lr)
-             for name, net in nets.items()}
+    optim = {name: adam_state(net.parameters(), bundle.config) for name, net in nets.items()}
     return nets, rngs, optim
 
 

@@ -7,6 +7,7 @@ from ganfolio.networks import (ROLES, AdamState, adam_step, build_network, forwa
                                init_parameters, load_networks, sample_dropout_masks,
                                save_networks)
 
+from conftest import adam_state
 from oracles import tape_forward
 
 N, H, F, M = 2, 8, 4, 6
@@ -139,7 +140,7 @@ class TestInitParameters:
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = [np.ones((3, 2)), np.zeros(3)]
-        state = AdamState.for_parameters(params)
+        state = adam_state(params)
         new_params, state = adam_step(params, [np.zeros((3, 2)), np.zeros(3)], state)
         assert state.step_count == 1
         assert all(np.array_equal(p, q) for p, q in zip(params, new_params))
@@ -148,14 +149,14 @@ class TestAdam:
         # bias-corrected first step is lr * g/(|g| + eps') regardless of |g|
         for g0 in (0.5, 200.0):
             params = [np.array([1.0])]
-            state = AdamState.for_parameters(params, lr=1e-3)
+            state = adam_state(params, lr=1e-3)
             (new,), _ = adam_step(params, [np.array([g0])], state)
             assert abs(params[0][0] - new[0]) == pytest.approx(1e-3, rel=1e-6)
 
     def test_beta1_zero_is_rmsprop_like(self):
         # with beta1 = 0 the first moment equals the raw gradient
         params = [np.array([1.0])]
-        state = AdamState.for_parameters(params, lr=1e-3, beta1=0.0)
+        state = adam_state(params, lr=1e-3, beta1=0.0)
         g = np.array([0.7])
         (new,), state = adam_step(params, [g], state)
         v_hat = (1 - state.beta2) * 0.49 / (1 - state.beta2)
@@ -177,14 +178,14 @@ class TestAdam:
 
     def test_non_finite_gradient_aborts(self):
         params = [np.ones(2)]
-        state = AdamState.for_parameters(params)
+        state = adam_state(params)
         with pytest.raises(NumericFault, match="index 0"):
             adam_step(params, [np.array([1.0, np.nan])], state)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_second_moment_aborts(self):
         params = [np.zeros(2), np.zeros(3)]
-        state = AdamState.for_parameters(params)
+        state = adam_state(params)
         with pytest.raises(NumericFault, match=r"index 1 \(shape \(3,\)\) overflows"):
             adam_step(params, [np.ones(2), np.array([1e155, 1.0, -1.0])], state)
 
@@ -192,8 +193,8 @@ class TestAdam:
         rng = np.random.default_rng(5)
         params = [rng.standard_normal((4, 4))]
         grads = [rng.standard_normal((4, 4))]
-        s1 = AdamState.for_parameters(params)
-        s2 = AdamState.for_parameters(params)
+        s1 = adam_state(params)
+        s2 = adam_state(params)
         (a,), _ = adam_step(params, grads, s1)
         (b,), _ = adam_step(params, grads, s2)
         assert np.array_equal(a, b)

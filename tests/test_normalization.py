@@ -124,3 +124,5 @@ class TestHybridStats:
     def test_nan_center_names_asset(self):
         with pytest.raises(ValidationError, match=r"asset index\(es\) \[1\]"):
             make_hybrid_stats(np.array([1.0, 1.0]), np.array([1.0, np.nan]))
+        with pytest.raises(ValidationError, match=r"asset index\(es\) \[0, 2\]"):
+            NormStats(np.array([np.nan, 1.0, np.inf]), np.ones(3))

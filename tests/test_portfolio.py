@@ -3,50 +3,17 @@ import pytest
 
 from ganfolio.errors import ValidationError
 from ganfolio.portfolio import (MomentEstimate, estimate_moments, markowitz_weights,
-                                max_sharpe_weights, min_variance_weights,
-                                portfolio_return_risk, project_to_simplex, sharpe_ratio)
+                                max_sharpe_weights, min_variance_weights, project_to_simplex)
 
 from oracles import exact_long_only, grid_max_sharpe, oracle_sharpe, random_psd_instance
 
 
-def moments(mu, cov, t=10):
-    return MomentEstimate(np.asarray(mu, float), np.asarray(cov, float), t)
+def moments(mu, cov):
+    return MomentEstimate(np.asarray(mu, float), np.asarray(cov, float))
 
 
-class TestReturnRisk:
-    def test_selector_weight(self):
-        ret, var = portfolio_return_risk(np.array([1.0, 0.0]),
-                                         moments([0.1, 0.2], np.diag([0.04, 0.09])))
-        assert ret == 0.1 and var == 0.04
-
-    def test_linearity_zero_cov(self):
-        ret, var = portfolio_return_risk(np.array([0.5, 0.5]),
-                                         moments([0.1, 0.2], np.zeros((2, 2))))
-        assert ret == pytest.approx(0.15) and var == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            portfolio_return_risk(np.ones(3) / 3, moments([0.1, 0.2], np.eye(2)))
-
-
-class TestSharpeRatio:
-    def test_single_asset(self):
-        m = moments([0.1, 0.0], np.diag([0.04, 0.04]))
-        assert sharpe_ratio(np.array([1.0, 0.0]), m) == pytest.approx(0.5)
-
-    def test_zero_numerator(self):
-        m = moments([0.1, 0.1], np.diag([0.04, 0.04]))
-        v = np.array([0.5, 0.5])
-        ret, _ = portfolio_return_risk(v, m)
-        assert sharpe_ratio(v, m, r_f=ret) == 0.0
-
-    def test_hand_value_cross_checked(self):
-        m = moments([0.1, 0.2], np.diag([0.04, 0.04]))
-        v = np.array([1 / 3, 2 / 3])
-        expected = 0.5 / (0.2 * np.sqrt(5))
-        assert sharpe_ratio(v, m) == pytest.approx(expected, rel=1e-12)
-        assert sharpe_ratio(v, m) == pytest.approx(oracle_sharpe(v, m.mean_returns, m.covariance))
-        assert expected == pytest.approx(1.1180, abs=5e-5)
+def sharpe(v, m):
+    return oracle_sharpe(v, m.mean_returns, m.covariance)
 
 
 class TestEstimateMoments:
@@ -96,6 +63,10 @@ class TestMaxSharpe:
         m = moments([0.1, 0.2], np.diag([0.04, 0.04]))
         v = max_sharpe_weights(m)
         assert np.abs(v - [1 / 3, 2 / 3]).max() < 1e-4
+        # the tangency value by hand: 0.5 / (0.2 sqrt 5)
+        expected = 0.5 / (0.2 * np.sqrt(5))
+        assert sharpe(np.array([1 / 3, 2 / 3]), m) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(1.1180, abs=5e-5)
 
     def test_identical_assets_tie_break_uniform(self):
         m = moments([0.1, 0.1, 0.1], np.full((3, 3), 0.04))
@@ -105,7 +76,7 @@ class TestMaxSharpe:
         m = moments([0.2, -0.01], np.diag([0.01, 0.09]))
         v = max_sharpe_weights(m)
         grid_sr, _ = grid_max_sharpe(m.mean_returns, m.covariance, step=0.001)
-        assert sharpe_ratio(v, m) >= grid_sr - 1e-3
+        assert sharpe(v, m) >= grid_sr - 1e-3
         assert v[0]        > 0.999
 
     def test_simplex_invariants(self):
@@ -124,7 +95,7 @@ class TestMaxSharpe:
                 m = moments(mu, cov)
                 v = max_sharpe_weights(m)
                 grid_sr, _ = grid_max_sharpe(mu, cov, step=0.001)
-                assert sharpe_ratio(v, m) >= grid_sr - 1e-3
+                assert sharpe(v, m) >= grid_sr - 1e-3
 
     def test_argmax_invariant_to_covariance_scaling(self):
         rng = np.random.default_rng(4)
@@ -132,8 +103,8 @@ class TestMaxSharpe:
         v1 = max_sharpe_weights(moments(mu, cov))
         v2 = max_sharpe_weights(moments(mu, 37.0 * cov))
         assert np.abs(v1 - v2).max() < 1e-6
-        sr1 = sharpe_ratio(v1, moments(mu, cov))
-        sr2 = sharpe_ratio(v2, moments(mu, 37.0 * cov))
+        sr1 = sharpe(v1, moments(mu, cov))
+        sr2 = sharpe(v2, moments(mu, 37.0 * cov))
         assert sr2 == pytest.approx(sr1 / np.sqrt(37.0), rel=1e-6)
 
     def test_all_below_risk_free_falls_back_to_min_variance(self):
@@ -144,13 +115,10 @@ class TestMaxSharpe:
         assert np.abs(v - [0.2, 0.8]).max() < 1e-6
 
     def test_non_finite_moments_rejected(self):
-        m = moments([0.1, 0.2], np.diag([0.04, 0.04]))
-        bad = MomentEstimate.__new__(MomentEstimate)
-        object.__setattr__(bad, "mean_returns", np.array([np.inf, 0.0]))
-        object.__setattr__(bad, "covariance", m.covariance)
-        object.__setattr__(bad, "sample_count", 5)
-        with pytest.raises(ValidationError):
-            max_sharpe_weights(bad)
+        with pytest.raises(ValidationError, match="non-finite"):
+            moments([np.inf, 0.0], np.diag([0.04, 0.04]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            moments([0.1, 0.2], [[0.04, np.nan], [np.nan, 0.04]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -208,7 +176,7 @@ class TestCovarianceChecks:
             returns = rng.standard_normal((n, t)) * 0.01 + rng.standard_normal(t) * 0.01
             for ridge in (0.0, 1e-4):
                 m = estimate_moments(returns, ridge=ridge)
-                MomentEstimate(m.mean_returns, m.covariance, m.sample_count)
+                MomentEstimate(m.mean_returns, m.covariance)
         estimate_moments(np.full((3, 6), 0.01))
         estimate_moments(np.tile(rng.standard_normal(8), (4, 1)), ridge=0.0)
 
@@ -223,7 +191,7 @@ class TestMarkowitz:
         assert v[0] > 0.999
         m = estimate_moments(__import__("ganfolio.marketdata", fromlist=["simple_returns"])
                              .simple_returns(np.stack([trend, flat, flat * 2.0])))
-        assert sharpe_ratio(v, m) >= grid_sr - 1e-3
+        assert sharpe(v, m) >= grid_sr - 1e-3
 
     def test_identical_assets_uniform(self):
         prices = np.tile(100.0 + np.cumsum(np.ones(20)), (3, 1))
