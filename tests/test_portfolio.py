@@ -16,6 +16,18 @@ def sharpe(v, m):
     return oracle_sharpe(v, m.mean_returns, m.covariance)
 
 
+class TestSharpeRatio:
+    def test_hand_value_cross_checked(self):
+        m = moments([0.1, 0.2], np.diag([0.04, 0.04]))
+        v = np.array([1 / 3, 2 / 3])
+        expected = 0.5 / (0.2 * np.sqrt(5))
+        assert sharpe(v, m) == pytest.approx(expected, rel=1e-12)
+        # the tangency Sharpe is sqrt(mu' inv(S) mu) when it is long-only
+        closed_form = np.sqrt(m.mean_returns @ np.linalg.solve(m.covariance, m.mean_returns))
+        assert sharpe(v, m) == pytest.approx(closed_form, rel=1e-12)
+        assert expected == pytest.approx(1.1180, abs=5e-5)
+
+
 class TestEstimateMoments:
     def test_perfectly_correlated_rows(self):
         base = np.array([0.01, -0.02, 0.03, 0.01, -0.01])
@@ -63,10 +75,6 @@ class TestMaxSharpe:
         m = moments([0.1, 0.2], np.diag([0.04, 0.04]))
         v = max_sharpe_weights(m)
         assert np.abs(v - [1 / 3, 2 / 3]).max() < 1e-4
-        # the tangency value by hand: 0.5 / (0.2 sqrt 5)
-        expected = 0.5 / (0.2 * np.sqrt(5))
-        assert sharpe(np.array([1 / 3, 2 / 3]), m) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(1.1180, abs=5e-5)
 
     def test_identical_assets_tie_break_uniform(self):
         m = moments([0.1, 0.1, 0.1], np.full((3, 3), 0.04))
