@@ -27,10 +27,11 @@ prices = np.stack([
 dates = tuple(f"2021-{1 + k // 30:02d}-{1 + k % 30:02d}" for k in range(days))
 frame = PriceFrame(("ALPHA", "BETA", "GAMMA"), dates, prices)
 
-csv_path = Path(tempfile.mkdtemp()) / "toy_prices.csv"
-write_price_csv(frame, csv_path)
-loaded = load_price_csv(csv_path, expected_tickers=["GAMMA", "ALPHA", "BETA"])
-print(f"loaded {loaded.n_assets} assets x {loaded.day_count} days from {csv_path}")
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "toy_prices.csv"
+    write_price_csv(frame, csv_path)
+    loaded = load_price_csv(csv_path, expected_tickers=["GAMMA", "ALPHA", "BETA"])
+    print(f"loaded {loaded.n_assets} assets x {loaded.day_count} days from {csv_path}")
 print(f"column order honored the request: {loaded.tickers}")
 
 # --- train/test split --------------------------------------------------------

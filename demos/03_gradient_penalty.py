@@ -38,9 +38,10 @@ def penalty_at(params):
     return critic_gradients(critic, real, fake, eps, 1.0, masks=[])[1]
 
 
-# the loss is W + lambda1 * P, so the gradients at lambda1 = 1 and 0 differ by dP
-params = critic.parameters()
-with_penalty = critic_gradients(critic, real, fake, eps, 1.0, masks=[])[2]
+# the loss is W + lambda1 * P, so the gradients at lambda1 = 1 and 0 differ by dP;
+# parameters and gradients are views into the critic's buffers, so keep copies
+params = [p.copy() for p in critic.parameters()]
+with_penalty = [g.copy() for g in critic_gradients(critic, real, fake, eps, 1.0, masks=[])[2]]
 without = critic_gradients(critic, real, fake, eps, 0.0, masks=[])[2]
 exact = [a - b for a, b in zip(with_penalty, without)]
 

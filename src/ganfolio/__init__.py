@@ -28,7 +28,8 @@ from .normalization import (
     make_hybrid_stats,
     normalize,
 )
-from .networks import AdamState, LayerSpec, MlpNetwork, adam_step, build_network, forward, init_parameters
+from .networks import (AdamState, AdamWorkers, LayerSpec, MlpNetwork, adam_step, build_network,
+                       forward, init_parameters)
 from .gan import (
     MODEL_KINDS,
     EpochLog,
@@ -82,6 +83,7 @@ __all__ = [
     "make_hybrid_stats",
     "normalize",
     "AdamState",
+    "AdamWorkers",
     "LayerSpec",
     "MlpNetwork",
     "adam_step",

@@ -30,9 +30,9 @@ import numpy as np
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
-from .networks import (AdamState, MlpNetwork, adam_step, backward, build_network, forward,
-                       init_parameters, load_networks, parameter_gradients, sample_dropout_masks,
-                       save_networks, tangent_forward, train_forward)
+from .networks import (AdamState, AdamWorkers, MlpNetwork, adam_step, backward, build_network,
+                       forward, init_parameters, load_networks, parameter_gradients,
+                       sample_dropout_masks, save_networks, tangent_forward, train_forward)
 from .normalization import (NormStats, denormalize, fit_eavesdrop, fit_standard,
                             make_hybrid_stats, normalize)
 
@@ -243,20 +243,21 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
 
     best_mse = np.inf
     best_params = None
-    for epoch in range(1, config.epochs + 1):
-        for idx in shuffle_rng.permutation(len(train_samples)):
-            x, target = train_samples[idx]
-            masks = sample_dropout_masks(proposer, dropout_rng, 1)
-            try:
-                _, grads = mse_gradients(proposer, x, target, masks)
-                state = _update(proposer, grads, state)
-            except NumericFault as fault:
-                raise NumericFault(f"proposer training diverged at epoch {epoch}, window "
-                                   f"start {starts[idx]}: {fault}") from fault
-        epoch_mse = validation_mse()
-        if epoch_mse < best_mse:
-            best_mse, best_params = epoch_mse, [p.copy() for p in proposer.parameters()]
-    proposer.set_parameters(best_params)
+    with AdamWorkers(proposer.flat.size) as workers:
+        for epoch in range(1, config.epochs + 1):
+            for idx in shuffle_rng.permutation(len(train_samples)):
+                x, target = train_samples[idx]
+                masks = sample_dropout_masks(proposer, dropout_rng, 1)
+                try:
+                    mse_gradients(proposer, x, target, masks)
+                    _update(proposer, state, workers)
+                except NumericFault as fault:
+                    raise NumericFault(f"proposer training diverged at epoch {epoch}, window "
+                                       f"start {starts[idx]}: {fault}") from fault
+            epoch_mse = validation_mse()
+            if epoch_mse < best_mse:
+                best_mse, best_params = epoch_mse, proposer.flat.copy()
+    proposer.flat[...] = best_params
     return proposer, best_mse
 
 
@@ -291,7 +292,8 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
     ``norm_window`` must already be normalized under the bundle's regime, and
     the critic's parameters are constants.  ``masks`` maps network names to
     their (1, width) dropout masks.  Returns (loss, AP term or nan, {network
-    name: gradients in parameters() order}).
+    name: gradients in parameters() order}); the gradients are each network's
+    :meth:`~ganfolio.networks.MlpNetwork.gradients`, which the next call overwrites.
     """
     config, n = bundle.config, bundle.n_assets
     fake, code, cond_cache, sim_cache = _fake_window(bundle, norm_window, z, masks)
@@ -310,16 +312,19 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
                             need_input=True)
     grad_future = grad_fake.reshape(n, config.w)[:, config.h:].reshape(1, -1)
     sim_deltas, grad_latent = backward(bundle.simulator, sim_cache, grad_future, need_input=True)
-    grads = {"simulator": parameter_gradients(sim_deltas, sim_cache.inputs)}
+    grads = {"simulator": parameter_gradients(sim_deltas, sim_cache.inputs,
+                                              bundle.simulator.gradients())}
     grad_code = grad_latent[:, config.m:]
     if config.is_acgan:
         # d(lambda2 * mean(diff^2)) / d reconstruction, in the reference engine's operation order
         seed = ((config.lambda2 * (1.0 / diff.size)) * diff) * 2.0
         dec_deltas, grad_code_dec = backward(bundle.decoder, dec_cache, seed, need_input=True)
-        grads["decoder"] = parameter_gradients(dec_deltas, dec_cache.inputs)
+        grads["decoder"] = parameter_gradients(dec_deltas, dec_cache.inputs,
+                                               bundle.decoder.gradients())
         grad_code = grad_code + grad_code_dec
     cond_deltas, _ = backward(bundle.conditioner, cond_cache, grad_code)
-    grads["conditioner"] = parameter_gradients(cond_deltas, cond_cache.inputs)
+    grads["conditioner"] = parameter_gradients(cond_deltas, cond_cache.inputs,
+                                               bundle.conditioner.gradients())
     return loss, ap, grads
 
 
@@ -335,7 +340,9 @@ def critic_gradients(discriminator: MlpNetwork, real: np.ndarray, fake: np.ndarr
     the R-op of the critic along u = dP/d(grad_x D) at the interpolate (see
     :func:`~ganfolio.networks.tangent_forward`), so each affine layer's
     weight gradient is the one gemm [-d_real, d_fake, lambda1 * d_interp]^T
-    [x_real; x_fake; t_interp].  Returns (loss, penalty, gradients).
+    [x_real; x_fake; t_interp].  Returns (loss, penalty, gradients); the
+    gradients are the critic's :meth:`~ganfolio.networks.MlpNetwork.gradients`,
+    which the next call overwrites.
     """
     real = np.asarray(real, dtype=np.float64).ravel()
     fake = np.asarray(fake, dtype=np.float64).ravel()
@@ -353,36 +360,35 @@ def critic_gradients(discriminator: MlpNetwork, real: np.ndarray, fake: np.ndarr
         direction = (2.0 * (norm - 1.0) / norm) * grad_interp
     tangents = tangent_forward(discriminator, cache, 2, direction)
     coefficients = np.array([[-1.0], [1.0], [lambda1]])
-    grads = []
-    for delta, inputs, tangent in zip(deltas, cache.inputs, tangents):
+    grads = discriminator.gradients()
+    for k, (delta, inputs, tangent) in enumerate(zip(deltas, cache.inputs, tangents)):
         scaled = coefficients * delta
-        grads.append(scaled.T @ np.concatenate([inputs[:2], tangent]))
-        grads.append(scaled[0] + scaled[1])  # the penalty has no bias gradient
+        np.matmul(scaled.T, np.concatenate([inputs[:2], tangent]), out=grads[2 * k])
+        np.add(scaled[0], scaled[1], out=grads[2 * k + 1])  # the penalty has no bias gradient
     return loss, float(penalty), grads
 
 
 def mse_gradients(net: MlpNetwork, x: np.ndarray, target: np.ndarray,
                   masks: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
     """The proposer's loss mean((net(x) - target)^2) and its parameter
-    gradients, for one sample with (1, width) masks."""
+    gradients (``net.gradients()``), for one sample with (1, width) masks."""
     out, cache = train_forward(net, np.reshape(x, (1, -1)), masks)
     diff = out - np.reshape(target, (1, -1))
     loss = _require_finite(float(np.sum(diff * diff)) * (1.0 / diff.size), f"{net.role} MSE")
     deltas, _ = backward(net, cache, ((1.0 / diff.size) * diff) * 2.0)
-    return loss, parameter_gradients(deltas, cache.inputs)
+    return loss, parameter_gradients(deltas, cache.inputs, net.gradients())
 
 
-def _update(net: MlpNetwork, grads, state: AdamState) -> AdamState:
+def _update(net: MlpNetwork, state: AdamState, workers: AdamWorkers) -> None:
+    """One Adam step of ``net`` along the gradients its kernels last wrote."""
     try:
-        new_params, state = adam_step(net.parameters(), grads, state)
+        adam_step(net.flat, net.grad, state, workers)
     except NumericFault as fault:
         raise NumericFault(f"{net.role}: {fault}") from fault
-    net.set_parameters(new_params)
-    return state
 
 
 def generator_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, rngs,
-                   optim: dict[str, AdamState]) -> tuple[float, float]:
+                   optim: dict[str, AdamState], workers: AdamWorkers) -> tuple[float, float]:
     """One Adam update of the generator side on one window and latent vector.
 
     Only conditioner/simulator (and decoder for autoencoding kinds)
@@ -391,13 +397,13 @@ def generator_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray
     masks = {name: sample_dropout_masks(net, rngs.get(name), 1)
              for name, net in _trainable_nets(bundle).items()}
     loss, ap, grads = generator_gradients(bundle, norm_window, z, masks)
-    for name, net_grads in grads.items():
-        optim[name] = _update(getattr(bundle, name), net_grads, optim[name])
+    for name in grads:
+        _update(getattr(bundle, name), optim[name], workers)
     return loss, ap
 
 
 def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, rngs,
-                optim: dict[str, AdamState]) -> float:
+                optim: dict[str, AdamState], workers: AdamWorkers) -> float:
     """One Adam update of the critic on one window and latent vector.
 
     The fake window is regenerated forward-only with the current generator
@@ -411,9 +417,9 @@ def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, r
     # one (3, width) draw equals the real, fake and interpolate draws in turn,
     # because the critic has a single dropout layer
     masks = sample_dropout_masks(bundle.discriminator, rngs.get("discriminator"), 3)
-    loss, _, grads = critic_gradients(bundle.discriminator, norm_window.full, fake_window, eps,
-                                      bundle.config.lambda1, masks)
-    optim["discriminator"] = _update(bundle.discriminator, grads, optim["discriminator"])
+    loss, _, _ = critic_gradients(bundle.discriminator, norm_window.full, fake_window, eps,
+                                  bundle.config.lambda1, masks)
+    _update(bundle.discriminator, optim["discriminator"], workers)
     return loss
 
 
@@ -461,10 +467,11 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     bundle = build_bundle(config, train_frame.tickers, proposer=proposer)
     bundle.proposer_mse = proposer_mse
 
+    nets = _trainable_nets(bundle)
     optim = {name: AdamState.for_parameters(net.parameters(), lr=config.lr,
                                             beta1=config.beta1, beta2=config.beta2,
                                             epsilon=config.adam_epsilon)
-             for name, net in _trainable_nets(bundle).items()}
+             for name, net in nets.items()}
     rngs = {
         "conditioner": _rng(config.seed, "dropout", "conditioner"),
         "simulator": _rng(config.seed, "dropout", "simulator"),
@@ -476,30 +483,33 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     shuffle_rng = _rng(config.seed, "shuffle")
 
     starts = training_index_set(train_frame.day_count, config.w)
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(starts.size)
-        gen_losses, ap_losses, critic_losses = [], [], []
-        for k in order:
-            start = int(starts[k])
-            window = extract_window(train_frame, start, config.h, config.f)
-            norm_window = _normalized_window(window, window_stats(bundle, window), config.h)
-            z = z_rng.standard_normal(config.m)
-            try:
-                gen_loss, ap_loss = generator_step(bundle, norm_window, z, rngs, optim)
-                critic_losses.append(critic_step(bundle, norm_window, z, rngs, optim))
-            except NumericFault as fault:
-                raise NumericFault(f"training diverged at epoch {epoch}, window start "
-                                   f"{start}: {fault}") from fault
-            gen_losses.append(gen_loss)
-            if not np.isnan(ap_loss):
-                ap_losses.append(ap_loss)
-        bundle.training_log.append(EpochLog(
-            epoch=epoch,
-            critic_loss=float(np.mean(critic_losses)),
-            generator_loss=float(np.mean(gen_losses)),
-            ap_loss=float(np.mean(ap_losses)) if ap_losses else float("nan"),
-            proposer_mse=bundle.proposer_mse,
-        ))
+    with AdamWorkers(max(net.flat.size for net in nets.values())) as workers:
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle_rng.permutation(starts.size)
+            gen_losses, ap_losses, critic_losses = [], [], []
+            for k in order:
+                start = int(starts[k])
+                window = extract_window(train_frame, start, config.h, config.f)
+                norm_window = _normalized_window(window, window_stats(bundle, window), config.h)
+                z = z_rng.standard_normal(config.m)
+                try:
+                    gen_loss, ap_loss = generator_step(bundle, norm_window, z, rngs, optim,
+                                                       workers)
+                    critic_losses.append(critic_step(bundle, norm_window, z, rngs, optim,
+                                                     workers))
+                except NumericFault as fault:
+                    raise NumericFault(f"training diverged at epoch {epoch}, window start "
+                                       f"{start}: {fault}") from fault
+                gen_losses.append(gen_loss)
+                if not np.isnan(ap_loss):
+                    ap_losses.append(ap_loss)
+            bundle.training_log.append(EpochLog(
+                epoch=epoch,
+                critic_loss=float(np.mean(critic_losses)),
+                generator_loss=float(np.mean(gen_losses)),
+                ap_loss=float(np.mean(ap_losses)) if ap_losses else float("nan"),
+                proposer_mse=bundle.proposer_mse,
+            ))
     bundle.trained = True
     return bundle
 

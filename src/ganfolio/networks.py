@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +63,17 @@ class LayerSpec:
 
 
 class MlpNetwork:
-    """A layer stack plus its affine parameters, ordered [W0, b0, W1, b1, ...]."""
+    """A layer stack plus its affine parameters, ordered [W0, b0, W1, b1, ...].
+
+    The parameters live in one contiguous float64 buffer, ``flat``;
+    ``weights[i]`` and ``biases[i]`` are views into it, so writing a view
+    writes the buffer and Adam updates every parameter in place.
+    """
 
     def __init__(self, role: str, layers: list[LayerSpec]):
         self.role = role
         self.layers = list(layers)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self.shapes: list[tuple[int, ...]] = []
         previous_out = None
         for spec in self.layers:
             if spec.kind != "affine":
@@ -77,8 +82,18 @@ class MlpNetwork:
                 raise ValidationError(
                     f"{role}: affine chain broken, {previous_out} -> {spec.in_dim}")
             previous_out = spec.out_dim
-            self.weights.append(np.zeros((spec.out_dim, spec.in_dim)))
-            self.biases.append(np.zeros(spec.out_dim))
+            self.shapes.extend(((spec.out_dim, spec.in_dim), (spec.out_dim,)))
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self.shapes))
+        views = _views(self.flat, self.shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
+        self.grad: np.ndarray | None = None
+        self._gradient_views: list[np.ndarray] = []
+
+    def __deepcopy__(self, memo) -> "MlpNetwork":
+        # a copy's weight and bias views must share the copy's own buffer
+        clone = MlpNetwork(self.role, self.layers)
+        clone.flat[...] = self.flat
+        return clone
 
     @property
     def input_width(self) -> int:
@@ -90,17 +105,39 @@ class MlpNetwork:
             out.extend((w, b))
         return out
 
+    def gradients(self) -> list[np.ndarray]:
+        """Views, in :meth:`parameters` order, into the flat gradient buffer
+        ``grad`` that the training kernels write; allocated on first use."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.flat)
+            self._gradient_views = _views(self.grad, self.shapes)
+        return self._gradient_views
+
+    def check_shapes(self, shapes) -> None:
+        """Raise ValidationError unless ``shapes`` are this network's parameter shapes."""
+        shapes = [tuple(shape) for shape in shapes]
+        if len(shapes) != len(self.shapes):
+            raise ValidationError(
+                f"{self.role}: expected {len(self.shapes)} parameter arrays, got {len(shapes)}")
+        for i, (shape, want) in enumerate(zip(shapes, self.shapes)):
+            if shape != want:
+                raise ValidationError(f"{self.role}: parameter shape mismatch at affine {i // 2}")
+
     def set_parameters(self, params) -> None:
         params = list(params)
-        if len(params) != 2 * len(self.weights):
-            raise ValidationError(
-                f"{self.role}: expected {2 * len(self.weights)} parameter arrays, got {len(params)}")
-        for i in range(len(self.weights)):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ValidationError(f"{self.role}: parameter shape mismatch at affine {i}")
-            self.weights[i] = np.asarray(w, dtype=np.float64)
-            self.biases[i] = np.asarray(b, dtype=np.float64)
+        self.check_shapes(np.shape(p) for p in params)
+        for view, p in zip(self.parameters(), params):
+            view[...] = p
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 def _affine(i, o):
@@ -157,8 +194,8 @@ def init_parameters(net: MlpNetwork, rng: np.random.Generator) -> MlpNetwork:
     """Uniform fan-in weight init, zero biases; deterministic per rng state."""
     for i, spec in enumerate(s for s in net.layers if s.kind == "affine"):
         bound = 1.0 / np.sqrt(spec.in_dim)
-        net.weights[i] = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim))
-        net.biases[i] = np.zeros(spec.out_dim)
+        net.weights[i][...] = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim))
+        net.biases[i][...] = 0.0
     return net
 
 
@@ -305,12 +342,13 @@ def backward(net: MlpNetwork, cache: ForwardCache, grad: np.ndarray,
     return deltas, grad
 
 
-def parameter_gradients(deltas, inputs) -> list[np.ndarray]:
-    """[dW0, db0, dW1, db1, ...] summed over rows, from :func:`backward`'s deltas."""
-    grads = []
-    for delta, x in zip(deltas, inputs):
-        grads.extend((delta.T @ x, delta.sum(axis=0)))
-    return grads
+def parameter_gradients(deltas, inputs, out: list[np.ndarray]) -> list[np.ndarray]:
+    """Write [dW0, db0, dW1, db1, ...], summed over rows, from :func:`backward`'s
+    deltas into ``out`` (a network's :meth:`~MlpNetwork.gradients`); returns ``out``."""
+    for k, (delta, x) in enumerate(zip(deltas, inputs)):
+        np.matmul(delta.T, x, out=out[2 * k])
+        delta.sum(axis=0, out=out[2 * k + 1])
+    return out
 
 
 def tangent_forward(net: MlpNetwork, cache: ForwardCache, row: int,
@@ -345,60 +383,134 @@ def tangent_forward(net: MlpNetwork, cache: ForwardCache, row: int,
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators for one parameter list."""
+    """Bias-corrected Adam accumulators for one flat parameter buffer.
+
+    ``shapes`` lists the parameter arrays the buffer holds, in order, so that
+    a fault can name the array it occurred in.
+    """
 
     lr: float
     beta1: float
     beta2: float
     epsilon: float
+    shapes: list[tuple[int, ...]]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_parameters(cls, params, lr: float, beta1: float, beta2: float,
                        epsilon: float) -> "AdamState":
-        return cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
-                   first_moment=[np.zeros_like(p) for p in params],
-                   second_moment=[np.zeros_like(p) for p in params])
+        shapes = [np.shape(p) for p in params]
+        size = sum(math.prod(shape) for shape in shapes)
+        return cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, shapes=shapes,
+                   first_moment=np.zeros(size), second_moment=np.zeros(size))
 
 
-def adam_step(params, grads, state: AdamState) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update; raises NumericFault on a non-finite gradient, or on a
-    gradient whose square overflows (any entry above about 1.3e154)."""
-    params = list(params)
-    grads = [np.asarray(g, dtype=np.float64) for g in grads]
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValidationError("adam_step: parameter/gradient/state length mismatch")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValidationError(f"adam_step: shape mismatch at index {i}: {p.shape} vs {g.shape}")
-        if not np.isfinite(g).all():
-            raise NumericFault(f"adam_step: non-finite gradient at index {i} (shape {g.shape})")
+# Adam updates fixed chunks of the flat buffers, one chunk per task.  Every
+# element sees the same operations in the same order whatever the chunking
+# and the thread count, so the update is bit-identical for any CPU affinity.
+ADAM_CHUNK = 1 << 17
+
+
+class AdamWorkers:
+    """The threads and the scratch memory that :func:`adam_step` runs on.
+
+    One pool with a thread per usable CPU (none when one CPU is usable), and
+    two float scratch rows and a boolean one of ``size`` elements, shared by
+    every buffer of at most ``size`` elements.  Preallocating the scratch
+    keeps a step from allocating, and so from faulting in, large temporaries.
+    Use it as a context manager: leaving it joins the threads.
+    """
+
+    def __init__(self, size: int):
+        self.scratch = np.empty((2, size))
+        self.finite = np.empty(size, dtype=bool)
+        # sched_getaffinity is Linux-only; elsewhere every CPU counts as usable
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+        self._pool = None
+        if threads > 1:
+            # imported here because only training needs it, and importing it
+            # adds about 8 ms to every command's start
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(threads)
+
+    def map(self, fn, starts) -> list:
+        """``fn`` over ``starts`` on the pool; inline for one chunk or one CPU."""
+        if self._pool is None or len(starts) == 1:
+            return [fn(start) for start in starts]
+        return list(self._pool.map(fn, starts))
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __enter__(self) -> "AdamWorkers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              workers: AdamWorkers) -> None:
+    """One Adam update of the flat buffer ``params``, in place.
+
+    Raises NumericFault on a non-finite gradient, or on a gradient whose
+    square overflows (any entry above about 1.3e154), naming the lowest
+    parameter array at fault; a non-finite gradient is named before an
+    overflow.  After a fault the buffer and the moments are partly updated.
+    """
+    size = state.first_moment.size
+    if params.shape != (size,) or grads.shape != (size,) or size > workers.scratch.shape[1]:
+        raise ValidationError(f"adam_step: parameter {params.shape}, gradient {grads.shape}, "
+                              f"state ({size},) and scratch buffers do not fit")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    updated = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        m = state.first_moment[i]
-        v = state.second_moment[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
+    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.lr
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m_all, v_all = state.first_moment, state.second_moment
+
+    def chunk(lo: int):
+        hi = min(lo + ADAM_CHUNK, size)
+        p, g, m, v = params[lo:hi], grads[lo:hi], m_all[lo:hi], v_all[lo:hi]
+        s1, s2 = workers.scratch[0, lo:hi], workers.scratch[1, lo:hi]
+        finite = np.isfinite(g, out=workers.finite[lo:hi])
+        if not finite.all():
+            return 0, lo + int(np.argmin(finite))
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
         try:
+            # errstate is per thread, so each chunk sets its own
             with np.errstate(over="raise"):
-                v *= state.beta2
-                v += (1.0 - state.beta2) * (g * g)
+                v *= b2
+                np.multiply(g, g, out=s1)
+                s1 *= 1.0 - b2
+                v += s1
         except FloatingPointError:
-            raise NumericFault(f"adam_step: gradient at index {i} (shape {g.shape}) "
-                               f"overflows the second moment") from None
-        denom = np.sqrt(v / c2)
-        denom += state.epsilon
-        step = m / c1
-        step /= denom
-        step *= state.lr
-        updated.append(p - step)
-    return updated, state
+            return 1, lo + int(np.argmin(np.isfinite(s1) & np.isfinite(v)))
+        np.divide(v, c2, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += eps
+        np.divide(m, c1, out=s2)
+        s2 /= s1
+        s2 *= lr
+        p -= s2
+        return None
+
+    faults = [f for f in workers.map(chunk, range(0, size, ADAM_CHUNK)) if f is not None]
+    if faults:
+        overflow, offset = min(faults)
+        ends = np.cumsum([math.prod(shape) for shape in state.shapes])
+        i = int(np.searchsorted(ends, offset, side="right"))
+        if overflow:
+            raise NumericFault(f"adam_step: gradient at index {i} (shape {state.shapes[i]}) "
+                               f"overflows the second moment")
+        raise NumericFault(f"adam_step: non-finite gradient at index {i} "
+                           f"(shape {state.shapes[i]})")
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +563,7 @@ def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"archive not found: {path}")
-    # each array is read straight into its own buffer: no whole-file copy
+    # each array is read straight into its view of the network's flat buffer
     with path.open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         cursor = len(ARCHIVE_MAGIC) + 8
@@ -471,19 +583,18 @@ def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
                 layers = [LayerSpec(kind, int(i), int(o), float(p))
                           for kind, i, o, p in entry["layers"]]
                 net = MlpNetwork(entry["role"], layers)
-                params = []
-                for spec in entry["arrays"]:
+                net.check_shapes(spec["shape"] for spec in entry["arrays"])
+                for spec, view in zip(entry["arrays"], net.parameters()):
                     start, nbytes, shape = (data_start + spec["offset"], spec["nbytes"],
                                             spec["shape"])
                     if nbytes != 8 * math.prod(shape) or not data_start <= start <= size - nbytes:
                         raise ValidationError(f"{path}: array {spec['index']} of "
                                               f"{entry['name']} does not fit the archive or "
                                               f"its shape {shape}")
-                    arr = np.empty(shape, dtype="<f8")
                     handle.seek(start)
-                    handle.readinto(arr.data.cast("B"))
-                    params.append(arr.astype(np.float64, copy=False))
-                net.set_parameters(params)
+                    handle.readinto(view.data.cast("B"))
+                if sys.byteorder == "big":  # the archive stores little-endian float64
+                    net.flat.byteswap(inplace=True)
                 components[entry["name"]] = net
             return components, header["meta"]
         except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:

@@ -20,7 +20,7 @@ import numpy as np
 from ganfolio import autodiff as ad
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import ValidationError
-from ganfolio.networks import adam_step
+from ganfolio.networks import AdamWorkers, adam_step
 from ganfolio.normalization import (NormStats, denormalize, fit_standard, make_hybrid_stats,
                                    normalize)
 
@@ -298,9 +298,10 @@ def tape_training_steps(bundle, norm_window, z, rngs, optim):
     critic loss).
     """
     def update(name, net, grads):
-        new_params, optim[name] = adam_step(net.parameters(), [g.values for g in grads],
-                                            optim[name])
-        net.set_parameters(new_params)
+        for view, g in zip(net.gradients(), grads):
+            view[...] = g.values
+        with AdamWorkers(net.flat.size) as workers:
+            adam_step(net.flat, net.grad, optim[name], workers)
 
     nets = {"conditioner": bundle.conditioner, "simulator": bundle.simulator}
     if bundle.decoder is not None:

@@ -1,5 +1,7 @@
 import csv
+import os
 import shutil
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +11,8 @@ import ganfolio
 from ganfolio.cli import main
 from ganfolio.config import RunConfig, load_run_config, parse_config_text, write_effective_config
 from ganfolio.errors import ValidationError
-from ganfolio.gan import TrainConfig
-from ganfolio.marketdata import write_price_csv
+from ganfolio.gan import TrainConfig, save_bundle, train, train_proposer
+from ganfolio.marketdata import split_train_test, write_price_csv
 from ganfolio.networks import load_networks, save_networks
 from ganfolio.reporting import read_csv_columns
 
@@ -439,3 +441,57 @@ class TestBlasThreadCounts:
                     assert a[column] == b[column]
                 else:
                     np.testing.assert_allclose(b[column], a[column], rtol=1e-10, atol=1e-12)
+
+
+# `ganfolio train` at protocol widths, on one CPU when argv[1] is "one" (set
+# before numpy loads); argv: "one" or "all", model, data csv, split date, out dir
+PINNED_TRAIN = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from ganfolio.cli import main
+cpus, model, data, split, out = sys.argv[1:]
+sys.exit(main(["train", "--data", data, "--split-date", split, "--model", model, "--h", "40",
+               "--f", "20", "--m", "100", "--epochs", "2", "--seed", "3", "--out", out]))
+"""
+
+
+class TestCpuAffinity:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="one usable CPU gives one Adam worker count only")
+    @pytest.mark.parametrize("model", ["cgan", "hybrid_acgan"])
+    def test_one_and_all_cpus_train_byte_identical(self, model, tmp_path):
+        # protocol widths, so every flat parameter buffer spans several Adam chunks
+        data = tmp_path / "prices.csv"
+        frame = sinusoid_frame(5, days=70, seed=0)
+        write_price_csv(frame, data)
+        outs = {}
+        for cpus in ("one", "all"):
+            outs[cpus] = tmp_path / cpus
+            done = run_python("-c", PINNED_TRAIN, cpus, model, str(data), frame.dates[63],
+                              str(outs[cpus]), OPENBLAS_NUM_THREADS="1")
+            assert done.returncode == 0, done.stderr
+        for name in ("bundle.gfa", "training_log.csv"):
+            assert (outs["one"] / name).read_bytes() == (outs["all"] / name).read_bytes()
+
+    def test_no_thread_outlives_training_or_a_command(self, tmp_path):
+        # at protocol widths Adam runs on a thread pool whenever two CPUs are usable
+        frame = sinusoid_frame(5, days=164, seed=0)
+        split = frame.dates[63]
+        data = tmp_path / "prices.csv"
+        write_price_csv(frame, data)
+        train_frame = split_train_test(frame, split)[0]
+        dims = dict(h=40, f=20, m=100, epochs=1, seed=3)
+        before = threading.active_count()
+        bundle = train(train_frame, TrainConfig(model_kind="cgan", **dims))
+        assert threading.active_count() == before
+        train_proposer(train_frame, TrainConfig(model_kind="hybrid_cgan", **dims))
+        assert threading.active_count() == before
+        save_bundle(tmp_path / "bundle.gfa", bundle)
+        common = ["--data", str(data), "--split-date", split, "--seed", "3",
+                  "--bundle", str(tmp_path / "bundle.gfa"), "--n-draws", "2"]
+        assert main(["simulate", *common, "--out", str(tmp_path / "simulate")]) == 0
+        assert threading.active_count() == before
+        assert main(["backtest", *common, "--model", "cgan", "--h", "40",
+                     "--out", str(tmp_path / "backtest")]) == 0
+        assert threading.active_count() == before

@@ -16,6 +16,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize("name", ["01_market_data_and_windows", "02_normalization_regimes",
                                   "03_gradient_penalty", "05_max_sharpe_allocation"])
 def test_demo_runs_clean(name, tmp_path):
-    done = run_python(str(DEMOS / f"{name}.py"), cwd=tmp_path, TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    done = run_python(str(DEMOS / f"{name}.py"), cwd=tmp_path, TMPDIR=str(tmpdir))
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    assert list(tmpdir.iterdir()) == []  # temporary files are removed

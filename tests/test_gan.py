@@ -11,8 +11,8 @@ from ganfolio.errors import NumericFault, ValidationError
 from ganfolio.gan import (TrainConfig, build_bundle, load_bundle, propose_mean, save_bundle,
                           simulate_paths, train, train_proposer, window_stats)
 from ganfolio.marketdata import WindowSample, extract_window
-from ganfolio.networks import (LayerSpec, MlpNetwork, build_network, forward, load_networks,
-                               sample_dropout_masks, save_networks)
+from ganfolio.networks import (AdamWorkers, LayerSpec, MlpNetwork, build_network, forward,
+                               load_networks, sample_dropout_masks, save_networks)
 from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
 from conftest import TINY, adam_state, make_frame, sinusoid_frame
@@ -225,7 +225,8 @@ class TestSteps:
         rngs = {"conditioner": np.random.default_rng(0), "simulator": np.random.default_rng(1),
                 "discriminator": np.random.default_rng(2), "eps": np.random.default_rng(3)}
         optim = {"discriminator": adam_state(bundle.discriminator.parameters(), config)}
-        critic_step(bundle, window, np.zeros(config.m), rngs, optim)
+        with AdamWorkers(bundle.discriminator.flat.size) as workers:
+            critic_step(bundle, window, np.zeros(config.m), rngs, optim, workers)
         assert all(np.array_equal(p, q) for p, q in
                    zip(before["conditioner"], bundle.conditioner.parameters()))
         assert all(np.array_equal(p, q) for p, q in
@@ -244,7 +245,9 @@ class TestSteps:
                 "discriminator": np.random.default_rng(2)}
         optim = {"conditioner": adam_state(bundle.conditioner.parameters(), config),
                  "simulator": adam_state(bundle.simulator.parameters(), config)}
-        generator_step(bundle, window, np.zeros(config.m), rngs, optim)
+        with AdamWorkers(max(bundle.conditioner.flat.size,
+                             bundle.simulator.flat.size)) as workers:
+            generator_step(bundle, window, np.zeros(config.m), rngs, optim, workers)
         assert all(np.array_equal(p, q)
                    for p, q in zip(disc_before, bundle.discriminator.parameters()))
 

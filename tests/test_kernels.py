@@ -17,7 +17,7 @@ from ganfolio.gan import (MODEL_KINDS, TrainConfig, _normalized_window, _rng, _t
                           build_bundle, critic_gradients, critic_step, generator_gradients,
                           generator_step, mse_gradients, window_stats)
 from ganfolio.marketdata import extract_window
-from ganfolio.networks import (LayerSpec, MlpNetwork, build_network,
+from ganfolio.networks import (AdamWorkers, LayerSpec, MlpNetwork, build_network,
                                init_parameters, sample_dropout_masks, tangent_forward,
                                train_forward)
 
@@ -156,8 +156,9 @@ def test_training_steps_match_tape_step(kind):
     z = np.random.default_rng(9).standard_normal(bundle.config.m)
 
     nets, rngs, optim = fresh_training_state(bundle)
-    gen_loss, _ = generator_step(bundle, window, z, rngs, optim)
-    crit_loss = critic_step(bundle, window, z, rngs, optim)
+    with AdamWorkers(max(net.flat.size for net in nets.values())) as workers:
+        gen_loss, _ = generator_step(bundle, window, z, rngs, optim, workers)
+        crit_loss = critic_step(bundle, window, z, rngs, optim, workers)
     tape_nets, tape_rngs, tape_optim = fresh_training_state(reference)
     tape_gen, tape_crit = tape_training_steps(reference, window, z, tape_rngs, tape_optim)
 

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
-from ganfolio.networks import (ROLES, AdamState, adam_step, build_network, forward,
-                               init_parameters, load_networks, sample_dropout_masks,
-                               save_networks)
+from ganfolio.networks import (ADAM_CHUNK, ROLES, AdamState, AdamWorkers, adam_step,
+                               build_network, forward, init_parameters, load_networks,
+                               sample_dropout_masks, save_networks)
 
 from conftest import adam_state
 from oracles import tape_forward
@@ -137,11 +139,21 @@ class TestInitParameters:
             assert np.abs(weight).max() <= 1.0 / np.sqrt(spec.in_dim)
 
 
+def adam(params, grads, state):
+    """adam_step on one flat buffer holding ``params``; returns the updated
+    arrays and leaves ``params`` as they were."""
+    flat = np.concatenate([np.ravel(p) for p in params])
+    with AdamWorkers(flat.size) as workers:
+        adam_step(flat, np.concatenate([np.ravel(g) for g in grads]), state, workers)
+    parts = np.split(flat, np.cumsum([np.size(p) for p in params])[:-1])
+    return [part.reshape(np.shape(p)) for part, p in zip(parts, params)]
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = [np.ones((3, 2)), np.zeros(3)]
         state = adam_state(params)
-        new_params, state = adam_step(params, [np.zeros((3, 2)), np.zeros(3)], state)
+        new_params = adam(params, [np.zeros((3, 2)), np.zeros(3)], state)
         assert state.step_count == 1
         assert all(np.array_equal(p, q) for p, q in zip(params, new_params))
 
@@ -150,7 +162,7 @@ class TestAdam:
         for g0 in (0.5, 200.0):
             params = [np.array([1.0])]
             state = adam_state(params, lr=1e-3)
-            (new,), _ = adam_step(params, [np.array([g0])], state)
+            (new,) = adam(params, [np.array([g0])], state)
             assert abs(params[0][0] - new[0]) == pytest.approx(1e-3, rel=1e-6)
 
     def test_beta1_zero_is_rmsprop_like(self):
@@ -158,7 +170,7 @@ class TestAdam:
         params = [np.array([1.0])]
         state = adam_state(params, lr=1e-3, beta1=0.0)
         g = np.array([0.7])
-        (new,), state = adam_step(params, [g], state)
+        (new,) = adam(params, [g], state)
         v_hat = (1 - state.beta2) * 0.49 / (1 - state.beta2)
         expected = 1.0 - 1e-3 * 0.7 / (np.sqrt(v_hat) + state.epsilon)
         assert new[0] == pytest.approx(expected, rel=1e-12)
@@ -170,7 +182,7 @@ class TestAdam:
         theta, m, v = 2.0, 0.0, 0.0
         current = params
         for t, g in enumerate([0.3, -0.2, 0.9], start=1):
-            current, state = adam_step(current, [np.array([g])], state)
+            current = adam(current, [np.array([g])], state)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -180,14 +192,14 @@ class TestAdam:
         params = [np.ones(2)]
         state = adam_state(params)
         with pytest.raises(NumericFault, match="index 0"):
-            adam_step(params, [np.array([1.0, np.nan])], state)
+            adam(params, [np.array([1.0, np.nan])], state)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_second_moment_aborts(self):
         params = [np.zeros(2), np.zeros(3)]
         state = adam_state(params)
         with pytest.raises(NumericFault, match=r"index 1 \(shape \(3,\)\) overflows"):
-            adam_step(params, [np.ones(2), np.array([1e155, 1.0, -1.0])], state)
+            adam(params, [np.ones(2), np.array([1e155, 1.0, -1.0])], state)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -195,9 +207,43 @@ class TestAdam:
         grads = [rng.standard_normal((4, 4))]
         s1 = adam_state(params)
         s2 = adam_state(params)
-        (a,), _ = adam_step(params, grads, s1)
-        (b,), _ = adam_step(params, grads, s2)
+        (a,) = adam(params, grads, s1)
+        (b,) = adam(params, grads, s2)
         assert np.array_equal(a, b)
+
+    def test_chunked_update_matches_scalar_recurrence_bit_for_bit(self):
+        # the flat buffer spans two chunks, and the boundary falls inside array 1
+        lr, b1, b2, eps = 0.01, 0.5, 0.999, 1e-8
+        rng = np.random.default_rng(8)
+        params = [rng.standard_normal(3), rng.standard_normal((2, ADAM_CHUNK // 2 + 1)),
+                  rng.standard_normal((4, 5))]
+        state = AdamState.for_parameters(params, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        current = params
+        theta = np.concatenate([p.ravel() for p in params]).tolist()
+        m, v = [0.0] * len(theta), [0.0] * len(theta)
+        assert len(theta) > ADAM_CHUNK
+        for t in range(1, 4):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            current = adam(current, grads, state)
+            c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+            # the recurrence of test_hand_evaluated_recurrence in adam_step's operation order
+            for k, g in enumerate(np.concatenate([g.ravel() for g in grads]).tolist()):
+                m[k] = m[k] * b1 + g * (1 - b1)
+                v[k] = v[k] * b2 + g * g * (1 - b2)
+                theta[k] -= m[k] / c1 / (math.sqrt(v[k] / c2) + eps) * lr
+            assert np.concatenate([p.ravel() for p in current]).tolist() == theta
+
+    def test_lowest_faulty_index_is_named_whatever_the_chunk(self):
+        params = [np.zeros(3), np.zeros(ADAM_CHUNK), np.zeros(ADAM_CHUNK)]
+        grads = [np.ones(3), np.ones(ADAM_CHUNK), np.ones(ADAM_CHUNK)]
+        grads[1][-1], grads[2][0], grads[2][-1] = 1e155, np.inf, 1e155
+        with pytest.raises(NumericFault, match=rf"^adam_step: non-finite gradient at index 2 "
+                                               rf"\(shape \({ADAM_CHUNK},\)\)$"):
+            adam(params, grads, adam_state(params))
+        grads[2][0] = 1.0
+        with pytest.raises(NumericFault, match=rf"^adam_step: gradient at index 1 "
+                                               rf"\(shape \({ADAM_CHUNK},\)\) overflows"):
+            adam(params, grads, adam_state(params))
 
 
 class TestArchive:
