@@ -45,7 +45,6 @@ from .gan import (
 from .portfolio import (
     MomentEstimate,
     estimate_moments,
-    markowitz_weights,
     max_sharpe_weights,
     min_variance_weights,
     project_to_simplex,
@@ -102,7 +101,6 @@ __all__ = [
     "train_proposer",
     "MomentEstimate",
     "estimate_moments",
-    "markowitz_weights",
     "max_sharpe_weights",
     "min_variance_weights",
     "project_to_simplex",

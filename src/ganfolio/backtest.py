@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .marketdata import PriceFrame, simple_returns
-from .portfolio import estimate_moments, markowitz_weights, max_sharpe_weights
+from .portfolio import estimate_moments, max_sharpe_weights
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -95,15 +95,22 @@ def strategy_from_paths(paths: np.ndarray, test_frame: PriceFrame, eta: int,
             f"paths shape {paths.shape} misaligned with test frame ({n} x {k})")
     _require_positive_paths(paths, test_frame)
     days = rebalance_days(k, h, eta)
-    schedules = []
-    for b in paths:
-        weights = np.empty((len(days), n))
-        for j, t in enumerate(days):
-            start, stop = _covering_block_span(t, eta, h, f, k)
-            block = b[:, start - 1:stop]
-            weights[j] = max_sharpe_weights(estimate_moments(simple_returns(block)), r_f)
-        schedules.append(WeightSchedule(days, weights))
-    return schedules
+    spans = [_covering_block_span(t, eta, h, f, k) for t in days]
+    return [_schedule(b, days, spans, r_f) for b in paths]
+
+
+def _schedule(prices: np.ndarray, days: tuple[int, ...], spans: list[tuple[int, int]],
+              r_f: float) -> WeightSchedule:
+    """Max-Sharpe weights at each rebalance day over its 1-based [start, stop] price span.
+
+    Every strategy, generated or Markowitz, allocates through here; a span
+    shared by several days is solved once.
+    """
+    solved = {}
+    for start, stop in dict.fromkeys(spans):
+        returns = simple_returns(prices[:, start - 1:stop])
+        solved[start, stop] = max_sharpe_weights(estimate_moments(returns), r_f)
+    return WeightSchedule(days, np.array([solved[span] for span in spans]))
 
 
 def _require_positive_paths(paths: np.ndarray, test_frame: PriceFrame) -> None:
@@ -158,17 +165,13 @@ def portfolio_value_series(schedule: WeightSchedule, frame: PriceFrame) -> tuple
     if schedule.weights.shape[1] != frame.n_assets:
         raise ValidationError("schedule asset count does not match the frame")
     prices = frame.prices
-    by_day = {t: schedule.weights[i] for i, t in enumerate(schedule.rebalance_indices)}
     values = np.empty(frame.day_count - first + 1)
     values[0] = 1.0
-    base_value = 1.0
-    base_prices = prices[:, first - 1]
-    weights = by_day[first]
-    for t in range(first + 1, frame.day_count + 1):
-        value = base_value * float(weights @ (prices[:, t - 1] / base_prices))
-        values[t - first] = value
-        if t in by_day:
-            base_value, base_prices, weights = value, prices[:, t - 1], by_day[t]
+    bounds = (*schedule.rebalance_indices, frame.day_count)
+    for start, end, weights in zip(bounds, bounds[1:], schedule.weights):
+        base_value, base_prices = values[start - first], prices[:, start - 1]
+        for t in range(start + 1, end + 1):
+            values[t - first] = base_value * float(weights @ (prices[:, t - 1] / base_prices))
     return values, frame.dates[first - 1:]
 
 
@@ -197,10 +200,9 @@ def markowitz_schedule(test_frame: PriceFrame, eta: int, h: int,
                        r_f: float = 0.0) -> WeightSchedule:
     """Rolling-window baseline: optimize over the trailing h real days."""
     days = rebalance_days(test_frame.day_count, h, eta)
-    weights = np.empty((len(days), test_frame.n_assets))
-    for j, t in enumerate(days):
-        weights[j] = markowitz_weights(test_frame.prices[:, t - 1 - h:t - 1], r_f)
-    return WeightSchedule(days, weights)
+    if h < 3:
+        raise ValidationError(f"need at least 3 trailing prices (2 returns), got {h}")
+    return _schedule(test_frame.prices, days, [(t - h, t - 1) for t in days], r_f)
 
 
 def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,

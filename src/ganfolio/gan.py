@@ -187,23 +187,16 @@ def build_bundle(config: TrainConfig, tickers, proposer: MlpNetwork | None = Non
 # proposer
 # ---------------------------------------------------------------------------
 
-def _proposer_input(historical: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Standard-normalized flattened history plus the raw per-asset mean."""
-    normalized = normalize(historical, fit_standard(historical))
+def _proposer_input(historical: np.ndarray, base: NormStats, mu: np.ndarray) -> np.ndarray:
+    """History normalized by its standard ``base`` stats, flattened, plus the raw mean."""
+    normalized = normalize(historical, base)
     return np.concatenate([normalized.ravel(), np.asarray(mu, dtype=np.float64)])
 
 
 def propose_mean(proposer: MlpNetwork, historical, mu) -> np.ndarray:
     """Deterministic surrogate per-asset window means (inference mode)."""
     historical = np.asarray(historical, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    return forward(proposer, _proposer_input(historical, mu))
-
-
-def _bundle_propose(bundle: ModelBundle, historical: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    if bundle.config.proposer_mode == "copy_mu":
-        return np.asarray(mu, dtype=np.float64)
-    return propose_mean(bundle.proposer, historical, mu)
+    return forward(proposer, _proposer_input(historical, fit_standard(historical), mu))
 
 
 def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNetwork, float]:
@@ -222,8 +215,8 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
     samples = []
     for start in starts:
         window = extract_window(train_frame, int(start), config.h, config.f)
-        mu = window.historical.mean(axis=1)
-        samples.append((_proposer_input(window.historical, mu),
+        base = fit_standard(window.historical)
+        samples.append((_proposer_input(window.historical, base, base.center),
                         window.full.mean(axis=1)))
     n_val = max(1, round(0.1 * len(samples))) if len(samples) > 1 else 0
     train_samples = samples[:len(samples) - n_val]
@@ -435,7 +428,9 @@ def window_stats(bundle: ModelBundle, window: WindowSample) -> NormStats:
     if regime == "eavesdrop":
         return fit_eavesdrop(window.full, bundle.config.h, allow_forward_bias=True)
     base = fit_standard(window.historical)
-    proposed = _bundle_propose(bundle, window.historical, base.center)
+    if bundle.config.proposer_mode == "copy_mu":
+        return make_hybrid_stats(base.scale, base.center)
+    proposed = forward(bundle.proposer, _proposer_input(window.historical, base, base.center))
     return make_hybrid_stats(base.scale, proposed)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .marketdata import simple_returns
 
 # diagonal loading keeps per-draw covariance estimates (few observations,
 # many assets) positive definite
@@ -143,13 +142,3 @@ def max_sharpe_weights(moments: MomentEstimate, r_f: float = 0.0) -> np.ndarray:
         return min_variance_weights(moments)
     return _long_only_qp(moments.covariance, excess)
 
-
-def markowitz_weights(historical_prices, r_f: float = 0.0) -> np.ndarray:
-    """Max-Sharpe weights from a trailing window of real prices."""
-    prices = np.asarray(historical_prices, dtype=np.float64)
-    if prices.ndim != 2:
-        raise ValidationError(f"historical prices must be N x h, got shape {prices.shape}")
-    if prices.shape[1] < 3:
-        raise ValidationError(
-            f"need at least 3 trailing prices (2 returns), got {prices.shape[1]}")
-    return max_sharpe_weights(estimate_moments(simple_returns(prices)), r_f)

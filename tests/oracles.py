@@ -130,6 +130,22 @@ def exact_long_only(mean_returns, covariance):
     return best_w
 
 
+def per_day_value_series(schedule, frame):
+    """Reference value series: one pass over the days, rebalancing where a day has weights."""
+    prices = frame.prices
+    first = schedule.rebalance_indices[0]
+    by_day = dict(zip(schedule.rebalance_indices, schedule.weights))
+    values = np.empty(frame.day_count - first + 1)
+    values[0] = 1.0
+    base_value, base_prices, weights = 1.0, prices[:, first - 1], by_day[first]
+    for t in range(first + 1, frame.day_count + 1):
+        value = base_value * float(weights @ (prices[:, t - 1] / base_prices))
+        values[t - first] = value
+        if t in by_day:
+            base_value, base_prices, weights = value, prices[:, t - 1], by_day[t]
+    return values
+
+
 def tape_forward(net, x, mode="infer", rng=None, params=None, dropout_masks=None):
     """Run the layer stack of ``net`` on the tape.
 

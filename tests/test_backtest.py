@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from ganfolio import backtest
 from ganfolio.backtest import (REBALANCE_SETTINGS, WeightSchedule, annualized_metrics,
                                markowitz_schedule, mean_strategy, portfolio_value_series,
                                rebalance_days, run_experiment, strategy_from_paths)
 from ganfolio.errors import ValidationError
 from ganfolio.gan import TrainConfig, simulate_paths, train
+from ganfolio.marketdata import simple_returns
+from ganfolio.portfolio import estimate_moments, max_sharpe_weights
 
 from conftest import TINY, make_frame, sinusoid_frame
+from oracles import per_day_value_series
 
 
 def schedule(indices, weights):
@@ -74,6 +78,15 @@ class TestPortfolioValueSeries:
         s = schedule(range(1, 30, 7), rng.dirichlet(np.ones(4), size=5))
         values, _ = portfolio_value_series(s, frame)
         assert (values > 0).all()
+
+    @pytest.mark.parametrize("indices", [(2, 5, 9), (3,)], ids=["last_day", "single"])
+    def test_holding_periods_match_per_day_reference(self, indices):
+        # a rebalance on the frame's last day holds for no further day
+        rng = np.random.default_rng(2)
+        frame = make_frame(10.0 * np.exp(np.cumsum(rng.standard_normal((3, 9)) * 0.03, axis=1)))
+        s = schedule(indices, rng.dirichlet(np.ones(3), size=len(indices)))
+        values, _ = portfolio_value_series(s, frame)
+        assert np.array_equal(values, per_day_value_series(s, frame))
 
     def test_out_of_range_schedule(self):
         frame = make_frame(np.full((2, 5), 2.0))
@@ -165,6 +178,26 @@ class TestStrategyFromPaths:
         paths = self._paths(frame)
         halves = strategy_from_paths(paths, frame, eta=2, h=8, f=4)
         assert halves[0].rebalance_indices == tuple(range(9, 24, 2))
+
+    def test_each_distinct_span_solved_once_per_draw(self, monkeypatch):
+        frame = sinusoid_frame(2, days=24, seed=5)
+        paths = self._paths(frame)
+        calls = []
+
+        def counting(moments, r_f):
+            calls.append(r_f)
+            return max_sharpe_weights(moments, r_f)
+
+        monkeypatch.setattr(backtest, "max_sharpe_weights", counting)
+        schedules = strategy_from_paths(paths, frame, eta=2, h=8, f=4)
+        # days 9, 11, ..., 23 pair up on the blocks 9-12, 13-16, 17-20 and 21-24
+        assert len(calls) == 4 * len(paths)
+        for s, b in zip(schedules, paths):
+            for j, t in enumerate(s.rebalance_indices):
+                start = 9 + (t - 9) // 4 * 4
+                block = b[:, start - 1:start + 3]
+                expected = max_sharpe_weights(estimate_moments(simple_returns(block)))
+                assert np.array_equal(s.weights[j], expected), t
 
     def test_constant_paths_fall_back_to_min_variance(self):
         frame = sinusoid_frame(2, days=24, seed=6)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from ganfolio.backtest import markowitz_schedule
 from ganfolio.errors import ValidationError
-from ganfolio.portfolio import (MomentEstimate, estimate_moments, markowitz_weights,
-                                max_sharpe_weights, min_variance_weights, project_to_simplex)
+from ganfolio.portfolio import (MomentEstimate, estimate_moments, max_sharpe_weights,
+                                min_variance_weights, project_to_simplex)
 
+from conftest import make_frame
 from oracles import exact_long_only, grid_max_sharpe, oracle_sharpe, random_psd_instance
 
 
@@ -189,12 +191,19 @@ class TestCovarianceChecks:
         estimate_moments(np.tile(rng.standard_normal(8), (4, 1)), ridge=0.0)
 
 
+def markowitz_first_weights(prices):
+    """First Markowitz rebalance of a frame whose first trailing window is ``prices``."""
+    h = prices.shape[1]
+    frame = make_frame(np.concatenate([prices, np.repeat(prices[:, -1:], 2, axis=1)], axis=1))
+    return markowitz_schedule(frame, eta=1, h=h).weights[0]
+
+
 class TestMarkowitz:
     def test_trending_asset_takes_full_weight(self):
         days = 30
         trend = 100.0 * (1.02 ** np.arange(days))
         flat = np.full(days, 50.0)
-        v = markowitz_weights(np.stack([trend, flat, flat * 2.0]))
+        v = markowitz_first_weights(np.stack([trend, flat, flat * 2.0]))
         grid_sr, _ = grid_max_sharpe(*_moments_of(np.stack([trend, flat, flat * 2.0])), step=0.001)
         assert v[0] > 0.999
         m = estimate_moments(__import__("ganfolio.marketdata", fromlist=["simple_returns"])
@@ -203,11 +212,11 @@ class TestMarkowitz:
 
     def test_identical_assets_uniform(self):
         prices = np.tile(100.0 + np.cumsum(np.ones(20)), (3, 1))
-        assert np.allclose(markowitz_weights(prices), 1 / 3, atol=1e-9)
+        assert np.allclose(markowitz_first_weights(prices), 1 / 3, atol=1e-9)
 
     def test_too_short_history(self):
-        with pytest.raises(ValidationError):
-            markowitz_weights(np.ones((2, 2)))
+        with pytest.raises(ValidationError, match="at least 3 trailing prices"):
+            markowitz_first_weights(np.ones((2, 2)))
 
 
 def _moments_of(prices):
