@@ -8,6 +8,7 @@ reproduced from it alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,6 +52,8 @@ class RunConfig:
             raise ValidationError("h, f, m must be positive")
         if self.epochs < 1 or self.n_draws < 1 or self.eta < 1:
             raise ValidationError("epochs, n_draws, eta must be >= 1")
+        if not math.isfinite(self.r_f):
+            raise ValidationError(f"r_f must be finite, got {self.r_f}")
 
     @property
     def w(self) -> int:

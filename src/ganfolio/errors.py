@@ -13,10 +13,6 @@ class GanfolioError(Exception):
 class ValidationError(GanfolioError):
     """Invalid input data, configuration, or preconditions."""
 
-    exit_code = 2
-
 
 class NumericFault(GanfolioError):
     """A computation produced NaN or infinity."""
-
-    exit_code = 3

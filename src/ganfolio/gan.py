@@ -30,9 +30,10 @@ import numpy as np
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
-from .networks import (AdamState, AdamWorkers, MlpNetwork, adam_step, backward, build_network,
-                       forward, init_parameters, load_networks, parameter_gradients,
-                       sample_dropout_masks, save_networks, tangent_forward, train_forward)
+from .networks import (ADAM_EPSILON, AdamState, AdamWorkers, MlpNetwork, adam_step, backward,
+                       build_network, forward, init_parameters, load_networks,
+                       parameter_gradients, sample_dropout_masks, save_networks,
+                       tangent_forward, train_forward)
 from .normalization import (NormStats, denormalize, fit_eavesdrop, fit_standard,
                             make_hybrid_stats, normalize)
 
@@ -66,12 +67,9 @@ class TrainConfig:
     lr: float = 2e-5
     beta1: float = 0.5
     beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     regime: str = "auto"  # auto | standard | eavesdrop | hybrid
     allow_forward_bias: bool = False
-    output_scale: float | None = None  # None: the simulator role's default
-    proposer_mode: str = "network"  # "copy_mu" swaps in the identity-on-mean diagnostic
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
@@ -80,8 +78,14 @@ class TrainConfig:
             raise ValidationError(f"h, f, m must be positive, got {self.h}, {self.f}, {self.m}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValidationError("penalty coefficients must be non-negative")
+        # nan and infinities fall outside every range
+        for key, low, high in (("lambda1", 0.0, np.inf), ("lambda2", 0.0, np.inf),
+                               ("beta1", 0.0, 1.0), ("beta2", 0.0, 1.0)):
+            value = getattr(self, key)
+            if not low <= value < high:
+                raise ValidationError(f"{key} must be in [{low}, {high}), got {value}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.regime not in ("auto", "standard", "eavesdrop", "hybrid"):
             raise ValidationError(f"unknown regime {self.regime!r}")
         if self.is_hybrid:
@@ -94,10 +98,6 @@ class TrainConfig:
                 raise ValidationError(
                     "eavesdrop regime uses future data; set allow_forward_bias=True "
                     "(CLI: --allow-forward-bias) to run it as a diagnostic")
-            if self.output_scale not in (None, 1.0):
-                raise ValidationError("output_scale only applies to hybrid model kinds")
-        if self.proposer_mode not in ("network", "copy_mu"):
-            raise ValidationError(f"unknown proposer mode {self.proposer_mode!r}")
 
     @property
     def w(self) -> int:
@@ -147,8 +147,7 @@ class ModelBundle:
             raise ValidationError(f"{self.config.model_kind} bundle needs a decoder")
         if not self.config.is_acgan and self.decoder is not None:
             raise ValidationError(f"{self.config.model_kind} bundle cannot carry a decoder")
-        needs_proposer = self.config.is_hybrid and self.config.proposer_mode == "network"
-        if needs_proposer and self.proposer is None:
+        if self.config.is_hybrid and self.proposer is None:
             raise ValidationError(f"{self.config.model_kind} bundle needs a proposer")
 
     @property
@@ -166,15 +165,14 @@ class ModelBundle:
 def build_bundle(config: TrainConfig, tickers, proposer: MlpNetwork | None = None) -> ModelBundle:
     """Fresh bundle with seeded parameter initialization (not yet trained).
 
-    A hybrid kind in ``proposer_mode="network"`` needs its trained ``proposer``.
+    A hybrid kind needs its trained ``proposer``.
     """
     tickers = tuple(tickers)
     n = len(tickers)
     cond_role = "encoder" if config.is_acgan else "conditioner"
     sim_role = "hybrid_simulator" if config.is_hybrid else "simulator"
     nets = {"conditioner": build_network(cond_role, n, config.h, config.f, config.m),
-            "simulator": build_network(sim_role, n, config.h, config.f, config.m,
-                                       output_scale=config.output_scale),
+            "simulator": build_network(sim_role, n, config.h, config.f, config.m),
             "discriminator": build_network("discriminator", n, config.h, config.f, config.m)}
     if config.is_acgan:
         nets["decoder"] = build_network("decoder", n, config.h, config.f, config.m)
@@ -226,7 +224,7 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
     init_parameters(proposer, _rng(config.seed, "init", "proposer"))
     state = AdamState.for_parameters(proposer.parameters(), lr=config.lr,
                                      beta1=config.beta1, beta2=config.beta2,
-                                     epsilon=config.adam_epsilon)
+                                     epsilon=ADAM_EPSILON)
     shuffle_rng = _rng(config.seed, "proposer_shuffle")
     dropout_rng = _rng(config.seed, "dropout", "proposer")
 
@@ -428,8 +426,6 @@ def window_stats(bundle: ModelBundle, window: WindowSample) -> NormStats:
     if regime == "eavesdrop":
         return fit_eavesdrop(window.full, bundle.config.h, allow_forward_bias=True)
     base = fit_standard(window.historical)
-    if bundle.config.proposer_mode == "copy_mu":
-        return make_hybrid_stats(base.scale, base.center)
     proposed = forward(bundle.proposer, _proposer_input(window.historical, base, base.center))
     return make_hybrid_stats(base.scale, proposed)
 
@@ -446,18 +442,18 @@ def _normalized_window(window: WindowSample, stats: NormStats, h: int) -> Window
 def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     """Train one model variant on the training frame.
 
-    Hybrid kinds first fit (or stub, for the copy-mean diagnostic) the
-    proposer, which stays frozen during adversarial training.  Each epoch
-    visits every window start exactly once in a fresh seeded random order;
-    per window the generator updates once, then the critic once, with the
-    same latent vector.  Raises NumericFault on numeric divergence, naming
-    the epoch, the window start, the network role and the layer.
+    Hybrid kinds first fit the proposer, which stays frozen during
+    adversarial training.  Each epoch visits every window start exactly once
+    in a fresh seeded random order; per window the generator updates once,
+    then the critic once, with the same latent vector.  Raises NumericFault
+    on numeric divergence, naming the epoch, the window start, the network
+    role and the layer.
     """
     if train_frame.day_count < config.w:
         raise ValidationError(
             f"training frame has {train_frame.day_count} days, need at least w={config.w}")
     proposer, proposer_mse = None, float("nan")
-    if config.is_hybrid and config.proposer_mode == "network":
+    if config.is_hybrid:
         proposer, proposer_mse = train_proposer(train_frame, config)
     bundle = build_bundle(config, train_frame.tickers, proposer=proposer)
     bundle.proposer_mse = proposer_mse
@@ -465,7 +461,7 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     nets = _trainable_nets(bundle)
     optim = {name: AdamState.for_parameters(net.parameters(), lr=config.lr,
                                             beta1=config.beta1, beta2=config.beta2,
-                                            epsilon=config.adam_epsilon)
+                                            epsilon=ADAM_EPSILON)
              for name, net in nets.items()}
     rngs = {
         "conditioner": _rng(config.seed, "dropout", "conditioner"),
@@ -577,15 +573,16 @@ def save_bundle(path, bundle: ModelBundle) -> None:
 
 # keys that archives from before their removal persist, with the only value
 # the training loop still implements
-_RETIRED_CONFIG_KEYS = {"batch_windows": 1, "critic_steps_per_gen": 1}
+_RETIRED_CONFIG_KEYS = {"batch_windows": 1, "critic_steps_per_gen": 1, "adam_epsilon": 1e-8,
+                        "output_scale": None, "proposer_mode": "network"}
 
 
 def _current_config_keys(config: dict, path) -> dict:
     config = dict(config)
     for key, supported in _RETIRED_CONFIG_KEYS.items():
         if key in config and config.pop(key) != supported:
-            raise ValidationError(f"{path}: bundle was trained with a {key} other than "
-                                  f"{supported}, which this version no longer supports")
+            raise ValidationError(f"{path}: bundle was trained with {key} other than "
+                                  f"{supported!r}, which this version no longer supports")
     return config
 
 

@@ -8,8 +8,7 @@ LR = leaky-relu slope, DP = dropout rate):
 * simulator:              m+16 -> 128 -> 256 -> 512 -> 1024 (all LR(0.2))
                           -> N*f tanh
 * hybrid_simulator:       the simulator stack followed by a x100 output
-                          scaling, this role's default, which only
-                          TrainConfig.output_scale overrides (the proposed-
+                          scale layer, HYBRID_OUTPUT_SCALE (the proposed-
                           center regime shifts targets outside tanh range)
 * discriminator:          N*(h+f) -> 512 LR(0.2) -> 512 LR(0.2) -> DP(0.4)
                           -> 512 LR(0.2) -> 1
@@ -48,12 +47,14 @@ ARCHIVE_VERSION = 1
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str  # affine | leaky_relu | tanh | dropout | scale
+    kind: str
     in_dim: int = 0
     out_dim: int = 0
     param: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("affine", "leaky_relu", "tanh", "dropout", "scale"):
+            raise ValidationError(f"unknown layer kind {self.kind!r}")
         if self.kind == "affine" and (self.in_dim <= 0 or self.out_dim <= 0):
             raise ValidationError(f"affine layer needs positive dims, got {self}")
         if self.kind == "dropout" and not 0.0 <= self.param < 1.0:
@@ -148,13 +149,8 @@ def _leaky():
     return LayerSpec("leaky_relu", param=LEAKY_SLOPE)
 
 
-def build_network(role: str, n_assets: int, h: int, f: int, m: int,
-                  output_scale: float | None = None) -> MlpNetwork:
-    """Build the layer stack for one role.
-
-    ``output_scale`` only applies to simulator roles.  None means the role's
-    default, 1 for ``simulator`` and HYBRID_OUTPUT_SCALE for ``hybrid_simulator``.
-    """
+def build_network(role: str, n_assets: int, h: int, f: int, m: int) -> MlpNetwork:
+    """Build the layer stack for one role."""
     if min(n_assets, h, f, m) <= 0:
         raise ValidationError(f"dimensions must be positive, got N={n_assets} h={h} f={f} m={m}")
     drop = LayerSpec("dropout", param=DROPOUT_RATE)
@@ -172,10 +168,8 @@ def build_network(role: str, n_assets: int, h: int, f: int, m: int,
                   _affine(256, 512), _leaky(),
                   _affine(512, 1024), _leaky(),
                   _affine(1024, n_assets * f), LayerSpec("tanh")]
-        if output_scale is None:
-            output_scale = HYBRID_OUTPUT_SCALE if role == "hybrid_simulator" else 1.0
-        if output_scale != 1.0:
-            layers.append(LayerSpec("scale", param=float(output_scale)))
+        if role == "hybrid_simulator":
+            layers.append(LayerSpec("scale", param=HYBRID_OUTPUT_SCALE))
     elif role == "discriminator":
         layers = [_affine(n_assets * (h + f), 512), _leaky(),
                   _affine(512, 512), _leaky(), drop,
@@ -411,6 +405,8 @@ class AdamState:
 # element sees the same operations in the same order whatever the chunking
 # and the thread count, so the update is bit-identical for any CPU affinity.
 ADAM_CHUNK = 1 << 17
+
+ADAM_EPSILON = 1e-8
 
 
 class AdamWorkers:

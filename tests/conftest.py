@@ -9,7 +9,9 @@ import pytest
 import ganfolio
 from ganfolio.gan import TrainConfig, train
 from ganfolio.marketdata import PriceFrame
-from ganfolio.networks import AdamState
+from ganfolio.networks import ADAM_EPSILON, AdamState
+
+from oracles import mean_proposer
 
 
 def make_frame(prices, tickers=None, start_day=1):
@@ -47,8 +49,17 @@ def run_python(*args, cwd=None, **env):
 def adam_state(params, config=TrainConfig(), **overrides):
     """An AdamState with ``config``'s hyperparameters, as ``train`` builds one."""
     hyper = dict(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                 epsilon=config.adam_epsilon)
+                 epsilon=ADAM_EPSILON)
     return AdamState.for_parameters(params, **{**hyper, **overrides})
+
+
+def reduce_hybrid_to_plain(monkeypatch):
+    """Make hybrid training reduce to plain training: ``train`` gets the
+    mean proposer in place of a trained one, and the hybrid simulator's
+    output scale becomes 1."""
+    monkeypatch.setattr("ganfolio.gan.train_proposer", lambda frame, config: (
+        mean_proposer(frame.n_assets, config.h, config.f, config.m), float("nan")))
+    monkeypatch.setattr("ganfolio.networks.HYBRID_OUTPUT_SCALE", 1.0)
 
 
 @pytest.fixture(scope="session")

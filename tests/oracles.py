@@ -20,7 +20,7 @@ import numpy as np
 from ganfolio import autodiff as ad
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import ValidationError
-from ganfolio.networks import AdamWorkers, adam_step
+from ganfolio.networks import AdamWorkers, adam_step, build_network
 from ganfolio.normalization import (NormStats, denormalize, fit_standard, make_hybrid_stats,
                                    normalize)
 
@@ -301,6 +301,23 @@ def per_draw_paths(bundle, prices, n_draws, seed):
             path[:, start - 1:start - 1 + f] = denormalize(block.reshape(n, f), stats)
         paths[j] = path
     return paths
+
+
+def mean_proposer(n, h, f, m):
+    """A proposer network that returns its raw-mean input bit for bit.
+
+    In each of the three affine layers, unit i's weight row is one at the
+    unit carrying mean i (input n*h + i in the first layer, unit i after it)
+    and zero elsewhere, and every bias is zero.  A positive mean passes
+    leaky-relu unchanged and adding zero products is exact, so a hybrid
+    bundle with this proposer centres each window on its historical mean,
+    as the standard regime does.
+    """
+    proposer = build_network("proposer", n, h, f, m)
+    units = np.arange(n)
+    for k, weight in enumerate(proposer.weights):
+        weight[units, units + (n * h if k == 0 else 0)] = 1.0
+    return proposer
 
 
 def tape_training_steps(bundle, norm_window, z, rngs, optim):

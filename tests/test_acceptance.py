@@ -22,9 +22,9 @@ from ganfolio.normalization import (denormalize, fit_eavesdrop, fit_standard,
                                     make_hybrid_stats, normalize)
 from ganfolio.portfolio import MomentEstimate, max_sharpe_weights
 
-from conftest import make_frame
+from conftest import make_frame, reduce_hybrid_to_plain
 from oracles import (critic_loss, generator_loss, gradient_penalty, grid_max_sharpe,
-                     oracle_sharpe, random_psd_instance, tape_forward)
+                     mean_proposer, oracle_sharpe, random_psd_instance, tape_forward)
 
 TOY = dict(h=8, f=4, m=6)
 
@@ -56,9 +56,9 @@ class TestGradientCorrectness:
         worst = {}
 
         for kind in ("cgan", "acgan", "hybrid_cgan", "hybrid_acgan"):
-            config = TrainConfig(model_kind=kind, epochs=1, seed=4,
-                                 proposer_mode="copy_mu", **TOY)
-            bundle = build_bundle(config, frame.tickers)
+            config = TrainConfig(model_kind=kind, epochs=1, seed=4, **TOY)
+            proposer = mean_proposer(frame.n_assets, **TOY) if config.is_hybrid else None
+            bundle = build_bundle(config, frame.tickers, proposer=proposer)
             window = normalized_window_of(frame, config, bundle)
             rng = np.random.default_rng(7)
             z = rng.standard_normal(config.m)
@@ -269,13 +269,13 @@ class TestAlgorithmAccounting:
 
 
 class TestReductions:
-    def test_acgan_lambda2_zero_and_hybrid_copy_mu_match_cgan(self):
+    def test_acgan_lambda2_zero_and_hybrid_copy_mu_match_cgan(self, monkeypatch):
         frame = drift_sinusoid(26, seed=7)
         base = train(frame, TrainConfig(model_kind="cgan", epochs=2, seed=21, **TOY))
         acgan = train(frame, TrainConfig(model_kind="acgan", lambda2=0.0, epochs=2,
                                          seed=21, **TOY))
-        hybrid = train(frame, TrainConfig(model_kind="hybrid_cgan", epochs=2, seed=21,
-                                          proposer_mode="copy_mu", output_scale=1.0, **TOY))
+        reduce_hybrid_to_plain(monkeypatch)
+        hybrid = train(frame, TrainConfig(model_kind="hybrid_cgan", epochs=2, seed=21, **TOY))
         shared = lambda b: [*b.conditioner.parameters(), *b.simulator.parameters(),
                             *b.discriminator.parameters()]
         for p, q in zip(shared(base), shared(acgan)):

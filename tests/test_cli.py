@@ -30,6 +30,10 @@ SPLIT = "2020-01-01+00026"  # leaves 20 test days: (20-8) divisible by 4
 
 TRAIN_FLAGS = ["--h", "8", "--f", "4", "--m", "6", "--epochs", "2", "--seed", "3"]
 
+# the config keys that bundles carried before they left TrainConfig, at the
+# only values the CLI wrote
+PARENT_CONFIG_KEYS = dict(adam_epsilon=1e-8, output_scale=None, proposer_mode="network")
+
 
 def test_cli_import_leaves_autodiff_unloaded():
     # the autodiff engine is the tests' reference; no library path imports it
@@ -79,7 +83,9 @@ class TestConfigFile:
 
     def test_training_keys_follow_train_config(self):
         run_keys = {f.name for f in fields(RunConfig)}
-        shared = [f.name for f in fields(TrainConfig) if f.name in run_keys]
+        shared = [f.name for f in fields(TrainConfig) if f.name != "model_kind"]
+        # a training knob that a run cannot set would be library code only tests use
+        assert set(shared) <= run_keys, sorted(set(shared) - run_keys)
         defaults = TrainConfig()
         assert RunConfig().model == defaults.model_kind
         assert all(getattr(RunConfig(), key) == getattr(defaults, key) for key in shared)
@@ -220,6 +226,42 @@ class TestSimulateCommand:
                      str(bundle), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
         assert "batch_windows other than 1" in capsys.readouterr().err
 
+    def test_bundle_with_parent_config_keys_simulates_the_same(self, data_csv, trained_run,
+                                                               tmp_path):
+        components, meta = load_networks(trained_run / "bundle.gfa")
+        meta["config"].update(PARENT_CONFIG_KEYS)
+        save_networks(tmp_path / "old.gfa", components, meta)
+        for name, bundle in (("new", trained_run / "bundle.gfa"), ("old", tmp_path / "old.gfa")):
+            assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT,
+                         "--bundle", str(bundle), "--n-draws", "3", "--seed", "1",
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "old" / "paths.npy").read_bytes() == \
+            (tmp_path / "new" / "paths.npy").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("output_scale", 1.0), ("proposer_mode", "copy_mu"),
+                                            ("adam_epsilon", 1e-6)])
+    def test_bundle_with_other_parent_config_value_exit_2(self, data_csv, trained_run, tmp_path,
+                                                          capsys, key, value):
+        components, meta = load_networks(trained_run / "bundle.gfa")
+        meta["config"].update(PARENT_CONFIG_KEYS, **{key: value})
+        save_networks(tmp_path / "old.gfa", components, meta)
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT, "--bundle",
+                     str(tmp_path / "old.gfa"), "--n-draws", "1", "--out",
+                     str(tmp_path / "sim")]) == 2
+        assert f"bundle was trained with {key} other than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["leaky_relu", "tanh"])
+    def test_unknown_layer_kind_exit_2(self, data_csv, trained_run, tmp_path, capsys, kind):
+        # a same-length patch keeps the header length valid; only the kind is wrong
+        corrupt = kind[:-1] + "X"
+        raw = (trained_run / "bundle.gfa").read_bytes()
+        (tmp_path / "corrupt.gfa").write_bytes(raw.replace(f'"{kind}"'.encode(),
+                                                           f'"{corrupt}"'.encode(), 1))
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT, "--bundle",
+                     str(tmp_path / "corrupt.gfa"), "--n-draws", "1", "--out",
+                     str(tmp_path / "sim")]) == 2
+        assert f"unknown layer kind {corrupt!r}" in capsys.readouterr().err
+
     def test_non_finite_simulator_exit_3_names_layer(self, data_csv, trained_run, tmp_path):
         # 1e308 times a latent entry above 1.8 in magnitude overflows the first affine layer
         bundle = tmp_path / "overflow.gfa"
@@ -262,6 +304,26 @@ class TestFlagPrefixes:
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestOutOfRangeFloats:
+    """A float setting outside its range exits 2 naming its key, and writes no artifact."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("backtest", "--r-f=nan"), ("backtest", "--r-f=inf"),
+        ("train", "--lr=nan"), ("train", "--lr=0"),
+        ("train", "--beta1=-0.5"), ("train", "--beta2=1"),
+        ("train", "--lambda1=inf"), ("train", "--lambda2=nan"),
+    ])
+    def test_exit_2_names_key(self, data_csv, tmp_path, capsys, command, flag):
+        settings = (TRAIN_FLAGS if command == "train"
+                    else ["--model", "markowitz", "--h", "8", "--eta", "4"])
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data_csv), "--split-date", SPLIT, *settings,
+                     flag, "--out", str(out)]) == 2
+        key = flag.split("=")[0].removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not list(out.glob("*"))
 
 
 class TestBacktestAndReport:

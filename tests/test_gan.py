@@ -15,9 +15,9 @@ from ganfolio.networks import (AdamWorkers, LayerSpec, MlpNetwork, build_network
                                load_networks, sample_dropout_masks, save_networks)
 from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
-from conftest import TINY, adam_state, make_frame, sinusoid_frame
+from conftest import TINY, adam_state, make_frame, reduce_hybrid_to_plain, sinusoid_frame
 import oracles
-from oracles import critic_loss, generator_loss, gradient_penalty, per_draw_paths
+from oracles import critic_loss, generator_loss, gradient_penalty, mean_proposer, per_draw_paths
 
 
 def count_forwards(monkeypatch, bundle, test_frame, n_draws):
@@ -78,17 +78,16 @@ class TestTrainConfig:
             TrainConfig(model_kind="cgan", regime="hybrid")
 
     def test_output_scale_defaults(self):
-        # the simulator role decides the x100 default; output_scale only overrides it
-        def simulator_layers(kind, **overrides):
-            config = TrainConfig(model_kind=kind, proposer_mode="copy_mu", **TINY, **overrides)
-            return build_bundle(config, ("A", "B")).simulator.layers
+        # the simulator role decides the x100 scale
+        def simulator_layers(kind):
+            config = TrainConfig(model_kind=kind, **TINY)
+            proposer = mean_proposer(2, **TINY) if config.is_hybrid else None
+            return build_bundle(config, ("A", "B"), proposer=proposer).simulator.layers
 
         for kind in ("cgan", "acgan"):
             assert all(spec.kind != "scale" for spec in simulator_layers(kind))
         for kind in ("hybrid_cgan", "hybrid_acgan"):
             assert simulator_layers(kind)[-1] == LayerSpec("scale", param=100.0)
-            assert all(spec.kind != "scale"
-                       for spec in simulator_layers(kind, output_scale=1.0))
 
 
 class TestGradientPenalty:
@@ -330,9 +329,9 @@ class TestTrain:
                          *acgan.discriminator.parameters()]):
             assert np.array_equal(p, q)
 
-    def test_hybrid_copy_mu_matches_plain(self, tiny_frame, tiny_cgan):
-        config = TrainConfig(model_kind="hybrid_cgan", epochs=2, seed=11,
-                             proposer_mode="copy_mu", output_scale=1.0, **TINY)
+    def test_hybrid_copy_mu_matches_plain(self, tiny_frame, tiny_cgan, monkeypatch):
+        reduce_hybrid_to_plain(monkeypatch)
+        config = TrainConfig(model_kind="hybrid_cgan", epochs=2, seed=11, **TINY)
         hybrid = train(tiny_frame, config)
         for p, q in zip([*tiny_cgan.conditioner.parameters(),
                          *tiny_cgan.simulator.parameters(),
@@ -372,9 +371,9 @@ class TestTrain:
                             r"overflows the second moment", str(caught.value))
 
     def test_copy_mu_stats_equal_standard(self, tiny_frame):
-        config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0,
-                             proposer_mode="copy_mu", **TINY)
-        bundle = build_bundle(config, tiny_frame.tickers)
+        config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0, **TINY)
+        bundle = build_bundle(config, tiny_frame.tickers,
+                              proposer=mean_proposer(tiny_frame.n_assets, **TINY))
         window = extract_window(tiny_frame, 1, config.h, config.f)
         hybrid_stats = window_stats(bundle, window)
         standard = fit_standard(window.historical)
@@ -389,7 +388,6 @@ class TestHybridNetworkTraining:
 
     def test_trains_with_its_proposer(self, hybrid):
         assert hybrid.trained and hybrid.proposer is not None
-        assert hybrid.config.proposer_mode == "network"
         assert np.isfinite(hybrid.proposer_mse)
         assert hybrid.training_log[0].proposer_mse == hybrid.proposer_mse
 

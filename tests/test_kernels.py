@@ -22,7 +22,8 @@ from ganfolio.networks import (AdamWorkers, LayerSpec, MlpNetwork, build_network
                                train_forward)
 
 from conftest import adam_state, sinusoid_frame
-from oracles import critic_loss, generator_loss, tape_forward, tape_training_steps
+from oracles import (critic_loss, generator_loss, mean_proposer, tape_forward,
+                     tape_training_steps)
 
 WIDTHS = {"toy": (2, dict(h=8, f=4, m=6)), "protocol": (5, dict(h=40, f=20, m=100))}
 TOL = 1e-12
@@ -36,8 +37,9 @@ def assert_close(got, want, what):
 def setting(kind, width):
     n_assets, dims = WIDTHS[width]
     frame = sinusoid_frame(n_assets, days=dims["h"] + dims["f"] + 6, seed=3)
-    config = TrainConfig(model_kind=kind, epochs=1, seed=4, proposer_mode="copy_mu", **dims)
-    bundle = build_bundle(config, frame.tickers)
+    config = TrainConfig(model_kind=kind, epochs=1, seed=4, **dims)
+    proposer = mean_proposer(n_assets, **dims) if config.is_hybrid else None
+    bundle = build_bundle(config, frame.tickers, proposer=proposer)
     window = extract_window(frame, 2, config.h, config.f)
     return bundle, _normalized_window(window, window_stats(bundle, window), config.h)
 
