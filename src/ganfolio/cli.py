@@ -133,11 +133,12 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
-    out = _require_out(config)
+    train_config = config.train_config()
     _, train_frame, _ = _load_frames(config)
     if train_frame is None:
         raise ValidationError("training needs split_date= so a training segment exists")
-    bundle = train(train_frame, config.train_config())
+    out = _require_out(config)
+    bundle = train(train_frame, train_config)
     save_bundle(out / "bundle.gfa", bundle)
     write_training_log_csv(out / "training_log.csv", bundle.training_log)
     write_effective_config(config, out / "config.effective")

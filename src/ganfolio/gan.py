@@ -234,14 +234,14 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
 
     best_mse = np.inf
     best_params = None
-    with AdamWorkers(proposer.flat.size) as workers:
+    with AdamWorkers() as workers:
         for epoch in range(1, config.epochs + 1):
             for idx in shuffle_rng.permutation(len(train_samples)):
                 x, target = train_samples[idx]
                 masks = sample_dropout_masks(proposer, dropout_rng, 1)
                 try:
                     mse_gradients(proposer, x, target, masks)
-                    _update(proposer, state, workers)
+                    adam_step(proposer.flat, proposer.grad, state, workers, proposer.role)
                 except NumericFault as fault:
                     raise NumericFault(f"proposer training diverged at epoch {epoch}, window "
                                        f"start {starts[idx]}: {fault}") from fault
@@ -277,7 +277,7 @@ def _fake_window(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, 
 
 
 def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray,
-                        masks: dict[str, list[np.ndarray]]):
+                        masks: dict[str, list[np.ndarray]], written=lambda name: None):
     """The generator side's loss -D(fake) [+ lambda2 * AP] and its parameter gradients.
 
     ``norm_window`` must already be normalized under the bundle's regime, and
@@ -285,6 +285,8 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
     their (1, width) dropout masks.  Returns (loss, AP term or nan, {network
     name: gradients in parameters() order}); the gradients are each network's
     :meth:`~ganfolio.networks.MlpNetwork.gradients`, which the next call overwrites.
+    ``written(name)`` is called as soon as a network's gradients are complete,
+    after which the pass reads neither them nor that network's parameters.
     """
     config, n = bundle.config, bundle.n_assets
     fake, code, cond_cache, sim_cache = _fake_window(bundle, norm_window, z, masks)
@@ -305,6 +307,7 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
     sim_deltas, grad_latent = backward(bundle.simulator, sim_cache, grad_future, need_input=True)
     grads = {"simulator": parameter_gradients(sim_deltas, sim_cache.inputs,
                                               bundle.simulator.gradients())}
+    written("simulator")
     grad_code = grad_latent[:, config.m:]
     if config.is_acgan:
         # d(lambda2 * mean(diff^2)) / d reconstruction, in the reference engine's operation order
@@ -312,10 +315,12 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
         dec_deltas, grad_code_dec = backward(bundle.decoder, dec_cache, seed, need_input=True)
         grads["decoder"] = parameter_gradients(dec_deltas, dec_cache.inputs,
                                                bundle.decoder.gradients())
+        written("decoder")
         grad_code = grad_code + grad_code_dec
     cond_deltas, _ = backward(bundle.conditioner, cond_cache, grad_code)
     grads["conditioner"] = parameter_gradients(cond_deltas, cond_cache.inputs,
                                                bundle.conditioner.gradients())
+    written("conditioner")
     return loss, ap, grads
 
 
@@ -370,12 +375,9 @@ def mse_gradients(net: MlpNetwork, x: np.ndarray, target: np.ndarray,
     return loss, parameter_gradients(deltas, cache.inputs, net.gradients())
 
 
-def _update(net: MlpNetwork, state: AdamState, workers: AdamWorkers) -> None:
-    """One Adam step of ``net`` along the gradients its kernels last wrote."""
-    try:
-        adam_step(net.flat, net.grad, state, workers)
-    except NumericFault as fault:
-        raise NumericFault(f"{net.role}: {fault}") from fault
+def _queue(net: MlpNetwork, state: AdamState, workers: AdamWorkers) -> None:
+    """Queue one Adam step of ``net`` along the gradients its kernels last wrote."""
+    workers.submit(net.flat, net.grad, state, net.role)
 
 
 def generator_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, rngs,
@@ -383,13 +385,16 @@ def generator_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray
     """One Adam update of the generator side on one window and latent vector.
 
     Only conditioner/simulator (and decoder for autoencoding kinds)
-    parameters change.  Returns (generator loss, AP term or nan).
+    parameters change.  Each network's update is queued on ``workers`` as
+    soon as its gradients are complete, so it runs while the remaining
+    backward passes do; the step returns without waiting for them.  Returns
+    (generator loss, AP term or nan).
     """
     masks = {name: sample_dropout_masks(net, rngs.get(name), 1)
              for name, net in _trainable_nets(bundle).items()}
-    loss, ap, grads = generator_gradients(bundle, norm_window, z, masks)
-    for name in grads:
-        _update(getattr(bundle, name), optim[name], workers)
+    loss, ap, _ = generator_gradients(
+        bundle, norm_window, z, masks,
+        lambda name: _queue(getattr(bundle, name), optim[name], workers))
     return loss, ap
 
 
@@ -398,9 +403,12 @@ def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, r
     """One Adam update of the critic on one window and latent vector.
 
     The fake window is regenerated forward-only with the current generator
-    (the step after the generator update, matching the training loop order);
-    only discriminator parameters change.  Returns the critic loss value.
+    (the step after the generator update, matching the training loop order),
+    so the updates queued on ``workers`` are waited for first; only
+    discriminator parameters change.  The critic's update is queued and not
+    waited for.  Returns the critic loss value.
     """
+    workers.wait()
     fake_window = _fake_window(bundle, norm_window, z, {
         name: sample_dropout_masks(getattr(bundle, name), rngs.get(name), 1)
         for name in ("conditioner", "simulator")})[0]
@@ -410,7 +418,7 @@ def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, r
     masks = sample_dropout_masks(bundle.discriminator, rngs.get("discriminator"), 3)
     loss, _, _ = critic_gradients(bundle.discriminator, norm_window.full, fake_window, eps,
                                   bundle.config.lambda1, masks)
-    _update(bundle.discriminator, optim["discriminator"], workers)
+    _queue(bundle.discriminator, optim["discriminator"], workers)
     return loss
 
 
@@ -474,7 +482,7 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
     shuffle_rng = _rng(config.seed, "shuffle")
 
     starts = training_index_set(train_frame.day_count, config.w)
-    with AdamWorkers(max(net.flat.size for net in nets.values())) as workers:
+    with AdamWorkers() as workers:
         for epoch in range(1, config.epochs + 1):
             order = shuffle_rng.permutation(starts.size)
             gen_losses, ap_losses, critic_losses = [], [], []
@@ -488,6 +496,7 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
                                                        workers)
                     critic_losses.append(critic_step(bundle, norm_window, z, rngs, optim,
                                                      workers))
+                    workers.wait()
                 except NumericFault as fault:
                     raise NumericFault(f"training diverged at epoch {epoch}, window start "
                                        f"{start}: {fault}") from fault

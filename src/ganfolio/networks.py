@@ -26,6 +26,8 @@ import json
 import math
 import os
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -401,86 +403,44 @@ class AdamState:
                    first_moment=np.zeros(size), second_moment=np.zeros(size))
 
 
-# Adam updates fixed chunks of the flat buffers, one chunk per task.  Every
-# element sees the same operations in the same order whatever the chunking
-# and the thread count, so the update is bit-identical for any CPU affinity.
-ADAM_CHUNK = 1 << 17
+# Adam updates fixed blocks of the flat buffers, one block per task.  Every
+# element sees the same operations in the same order whatever thread runs its
+# block, so the update is bit-identical for any CPU affinity.
+ADAM_BLOCK = 1 << 16
 
 ADAM_EPSILON = 1e-8
 
 
-class AdamWorkers:
-    """The threads and the scratch memory that :func:`adam_step` runs on.
+class AdamUpdate:
+    """One queued Adam step of a flat buffer: its operands, its step's bias
+    corrections, the blocks still to run and the faults its blocks found."""
 
-    One pool with a thread per usable CPU (none when one CPU is usable), and
-    two float scratch rows and a boolean one of ``size`` elements, shared by
-    every buffer of at most ``size`` elements.  Preallocating the scratch
-    keeps a step from allocating, and so from faulting in, large temporaries.
-    Use it as a context manager: leaving it joins the threads.
-    """
+    def __init__(self, params: np.ndarray, grads: np.ndarray, state: AdamState,
+                 name: str | None):
+        self.params, self.grads, self.state, self.name = params, grads, state, name
+        self.c1 = 1.0 - state.beta1 ** state.step_count
+        self.c2 = 1.0 - state.beta2 ** state.step_count
+        self.remaining = -(-params.size // ADAM_BLOCK)
+        self.faults: list[tuple[int, int]] = []
+        self.error: BaseException | None = None  # an exception a block raised
 
-    def __init__(self, size: int):
-        self.scratch = np.empty((2, size))
-        self.finite = np.empty(size, dtype=bool)
-        # sched_getaffinity is Linux-only; elsewhere every CPU counts as usable
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-        self._pool = None
-        if threads > 1:
-            # imported here because only training needs it, and importing it
-            # adds about 8 ms to every command's start
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(threads)
-
-    def map(self, fn, starts) -> list:
-        """``fn`` over ``starts`` on the pool; inline for one chunk or one CPU."""
-        if self._pool is None or len(starts) == 1:
-            return [fn(start) for start in starts]
-        return list(self._pool.map(fn, starts))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def __enter__(self) -> "AdamWorkers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              workers: AdamWorkers) -> None:
-    """One Adam update of the flat buffer ``params``, in place.
-
-    Raises NumericFault on a non-finite gradient, or on a gradient whose
-    square overflows (any entry above about 1.3e154), naming the lowest
-    parameter array at fault; a non-finite gradient is named before an
-    overflow.  After a fault the buffer and the moments are partly updated.
-    """
-    size = state.first_moment.size
-    if params.shape != (size,) or grads.shape != (size,) or size > workers.scratch.shape[1]:
-        raise ValidationError(f"adam_step: parameter {params.shape}, gradient {grads.shape}, "
-                              f"state ({size},) and scratch buffers do not fit")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.lr
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    m_all, v_all = state.first_moment, state.second_moment
-
-    def chunk(lo: int):
-        hi = min(lo + ADAM_CHUNK, size)
-        p, g, m, v = params[lo:hi], grads[lo:hi], m_all[lo:hi], v_all[lo:hi]
-        s1, s2 = workers.scratch[0, lo:hi], workers.scratch[1, lo:hi]
-        finite = np.isfinite(g, out=workers.finite[lo:hi])
+    def run_block(self, lo: int, rows: np.ndarray, finite: np.ndarray):
+        """Update the block at ``lo`` with a thread's scratch; return
+        (0 non-finite or 1 overflow, lowest index at fault), or None."""
+        state = self.state
+        hi = min(lo + ADAM_BLOCK, self.params.size)
+        b1, b2 = state.beta1, state.beta2
+        p, g = self.params[lo:hi], self.grads[lo:hi]
+        m, v = state.first_moment[lo:hi], state.second_moment[lo:hi]
+        s1, s2 = rows[0, :hi - lo], rows[1, :hi - lo]
+        finite = np.isfinite(g, out=finite[:hi - lo])
         if not finite.all():
             return 0, lo + int(np.argmin(finite))
         m *= b1
         np.multiply(g, 1.0 - b1, out=s1)
         m += s1
         try:
-            # errstate is per thread, so each chunk sets its own
+            # errstate is per thread, so each block sets its own
             with np.errstate(over="raise"):
                 v *= b2
                 np.multiply(g, g, out=s1)
@@ -488,25 +448,158 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
                 v += s1
         except FloatingPointError:
             return 1, lo + int(np.argmin(np.isfinite(s1) & np.isfinite(v)))
-        np.divide(v, c2, out=s1)
+        np.divide(v, self.c2, out=s1)
         np.sqrt(s1, out=s1)
-        s1 += eps
-        np.divide(m, c1, out=s2)
+        s1 += state.epsilon
+        np.divide(m, self.c1, out=s2)
         s2 /= s1
-        s2 *= lr
+        s2 *= state.lr
         p -= s2
         return None
 
-    faults = [f for f in workers.map(chunk, range(0, size, ADAM_CHUNK)) if f is not None]
-    if faults:
-        overflow, offset = min(faults)
-        ends = np.cumsum([math.prod(shape) for shape in state.shapes])
-        i = int(np.searchsorted(ends, offset, side="right"))
+    def fault(self) -> NumericFault | None:
+        """The fault at the lowest parameter array, a non-finite gradient
+        before an overflow, or None."""
+        if not self.faults:
+            return None
+        overflow, offset = min(self.faults)
+        shapes = self.state.shapes
+        i = int(np.searchsorted(np.cumsum([math.prod(shape) for shape in shapes]), offset,
+                                side="right"))
         if overflow:
-            raise NumericFault(f"adam_step: gradient at index {i} (shape {state.shapes[i]}) "
-                               f"overflows the second moment")
-        raise NumericFault(f"adam_step: non-finite gradient at index {i} "
-                           f"(shape {state.shapes[i]})")
+            message = (f"adam_step: gradient at index {i} (shape {shapes[i]}) "
+                       f"overflows the second moment")
+        else:
+            message = f"adam_step: non-finite gradient at index {i} (shape {shapes[i]})"
+        return NumericFault(message if self.name is None else f"{self.name}: {message}")
+
+
+class AdamWorkers:
+    """A queue of Adam blocks, and the threads that drain it.
+
+    :meth:`submit` queues one step's blocks and returns at once; one
+    background thread per usable CPU beyond the first runs queued blocks, and
+    a caller in :meth:`wait` runs them too until what it waits for is done.
+    Each thread keeps its own block-sized scratch rows.  Use it as a context
+    manager: leaving it waits for every queued update and joins the threads.
+    """
+
+    def __init__(self):
+        self._queue: deque[tuple[AdamUpdate, int]] = deque()
+        self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)  # a block was queued, or closing
+        self._done = threading.Condition(self._lock)  # an update's last block ran
+        self._closed = False
+        self._local = threading.local()
+        self._unsettled: list[AdamUpdate] = []
+        # sched_getaffinity is Linux-only; elsewhere every CPU counts as usable
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        self._threads = [threading.Thread(target=self._serve, daemon=True)
+                         for _ in range(cpus - 1)]
+        for thread in self._threads:
+            thread.start()
+
+    def submit(self, params: np.ndarray, grads: np.ndarray, state: AdamState,
+               name: str | None = None) -> AdamUpdate:
+        """Queue one Adam step of the flat buffer ``params`` along ``grads``.
+
+        The buffers must not be touched until the step is waited for.  A
+        fault's message starts with ``name`` when one is given.
+        """
+        size = state.first_moment.size
+        if params.shape != (size,) or grads.shape != (size,):
+            raise ValidationError(f"adam_step: parameter {params.shape}, gradient "
+                                  f"{grads.shape} and state ({size},) buffers do not fit")
+        state.step_count += 1
+        update = AdamUpdate(params, grads, state, name)
+        with self._lock:
+            self._queue.extend((update, lo) for lo in range(0, size, ADAM_BLOCK))
+            self._ready.notify_all()
+        self._unsettled.append(update)
+        return update
+
+    def wait(self, update: AdamUpdate | None = None) -> None:
+        """Run queued blocks until ``update`` is done, or by default every
+        update submitted and not yet waited for.  Then raise the NumericFault
+        of the first of them, in submission order, whose blocks found one."""
+        updates = self._unsettled if update is None else [update]
+        for each in updates:
+            self._finish(each)
+        self._unsettled = [each for each in self._unsettled if each not in updates]
+        for each in updates:
+            if each.error is not None:
+                raise each.error
+            fault = each.fault()
+            if fault is not None:
+                raise fault
+
+    def _finish(self, update: AdamUpdate) -> None:
+        while True:
+            with self._lock:
+                while update.remaining and not self._queue:
+                    self._done.wait()
+                if not update.remaining:
+                    return
+                block = self._queue.popleft()
+            self._run(*block)
+
+    def _run(self, update: AdamUpdate, lo: int) -> None:
+        local = self._local
+        if not hasattr(local, "rows"):
+            local.rows = np.empty((2, ADAM_BLOCK))
+            local.finite = np.empty(ADAM_BLOCK, dtype=bool)
+        fault = None
+        try:
+            fault = update.run_block(lo, local.rows, local.finite)
+        except BaseException as err:  # raised again by wait, not lost with this thread
+            update.error = err
+        with self._lock:
+            if fault is not None:
+                update.faults.append(fault)
+            update.remaining -= 1
+            if not update.remaining:
+                self._done.notify_all()
+
+    def _serve(self) -> None:
+        while True:
+            with self._lock:
+                while not (self._queue or self._closed):
+                    self._ready.wait()
+                if not self._queue:
+                    return
+                block = self._queue.popleft()
+            self._run(*block)
+
+    def __enter__(self) -> "AdamWorkers":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            if exc_type is None:
+                self.wait()
+        finally:
+            for update in self._unsettled:
+                self._finish(update)
+            self._unsettled = []
+            with self._lock:
+                self._closed = True
+                self._ready.notify_all()
+            for thread in self._threads:
+                thread.join()
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              workers: AdamWorkers, name: str | None = None) -> None:
+    """One Adam update of the flat buffer ``params``, in place: queue it, then wait.
+
+    Raises NumericFault on a non-finite gradient, or on a gradient whose
+    square overflows (any entry above about 1.3e154), naming the lowest
+    parameter array at fault, after ``name`` when one is given; a non-finite
+    gradient is named before an overflow.  After a fault the buffer and the
+    moments are partly updated.
+    """
+    workers.wait(workers.submit(params, grads, state, name))
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +646,8 @@ def save_networks(path, components: dict[str, MlpNetwork], meta: dict) -> None:
 def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
     """Read an archive written by :func:`save_networks` (bit-exact round trip).
 
-    A damaged archive raises ValidationError.  The format has no checksum, so
-    damage inside the array data loads as different numbers.
+    A damaged archive raises ValidationError naming the archive.  The format
+    has no checksum, so damage inside the array data loads as different numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -572,8 +665,7 @@ def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
         try:
             header = json.loads(handle.read(data_start - cursor).decode("utf-8"))
             if header.get("version") != ARCHIVE_VERSION:
-                raise ValidationError(
-                    f"{path}: unsupported archive version {header.get('version')}")
+                raise ValidationError(f"unsupported archive version {header.get('version')}")
             components = {}
             for entry in header["components"]:
                 layers = [LayerSpec(kind, int(i), int(o), float(p))
@@ -584,14 +676,15 @@ def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
                     start, nbytes, shape = (data_start + spec["offset"], spec["nbytes"],
                                             spec["shape"])
                     if nbytes != 8 * math.prod(shape) or not data_start <= start <= size - nbytes:
-                        raise ValidationError(f"{path}: array {spec['index']} of "
-                                              f"{entry['name']} does not fit the archive or "
-                                              f"its shape {shape}")
+                        raise ValidationError(f"array {spec['index']} of {entry['name']} "
+                                              f"does not fit the archive or its shape {shape}")
                     handle.seek(start)
                     handle.readinto(view.data.cast("B"))
                 if sys.byteorder == "big":  # the archive stores little-endian float64
                     net.flat.byteswap(inplace=True)
                 components[entry["name"]] = net
             return components, header["meta"]
+        except ValidationError as err:  # from a check here or from LayerSpec and MlpNetwork
+            raise ValidationError(f"{path}: {err}") from None
         except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as err:
             raise ValidationError(f"{path}: damaged archive header ({err!r})") from None

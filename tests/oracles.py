@@ -333,7 +333,7 @@ def tape_training_steps(bundle, norm_window, z, rngs, optim):
     def update(name, net, grads):
         for view, g in zip(net.gradients(), grads):
             view[...] = g.values
-        with AdamWorkers(net.flat.size) as workers:
+        with AdamWorkers() as workers:
             adam_step(net.flat, net.grad, optim[name], workers)
 
     nets = {"conditioner": bundle.conditioner, "simulator": bundle.simulator}

@@ -155,6 +155,14 @@ class TestTrainCommand:
         assert main(["train", "--data", str(data_csv), "--model", "cgan",
                      *TRAIN_FLAGS, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("flags", [["--split-date", SPLIT, "--lr=nan"], []],
+                             ids=["bad_setting", "no_split_date"])
+    def test_rejected_run_creates_no_out_directory(self, data_csv, tmp_path, flags):
+        out = tmp_path / "run1"
+        assert main(["train", "--data", str(data_csv), "--model", "cgan", *TRAIN_FLAGS,
+                     *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained_run(data_csv, tmp_path_factory):
@@ -261,6 +269,14 @@ class TestSimulateCommand:
                      str(tmp_path / "corrupt.gfa"), "--n-draws", "1", "--out",
                      str(tmp_path / "sim")]) == 2
         assert f"unknown layer kind {corrupt!r}" in capsys.readouterr().err
+
+    def test_unknown_layer_kind_names_the_bundle(self, data_csv, trained_run, tmp_path, capsys):
+        corrupt = tmp_path / "corrupt.gfa"
+        corrupt.write_bytes((trained_run / "bundle.gfa").read_bytes().replace(b'"tanh"',
+                                                                             b'"tanX"', 1))
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT, "--bundle",
+                     str(corrupt), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: {corrupt}: unknown layer kind 'tanX'\n"
 
     def test_non_finite_simulator_exit_3_names_layer(self, data_csv, trained_run, tmp_path):
         # 1e308 times a latent entry above 1.8 in magnitude overflows the first affine layer

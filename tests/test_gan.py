@@ -1,4 +1,5 @@
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -224,7 +225,7 @@ class TestSteps:
         rngs = {"conditioner": np.random.default_rng(0), "simulator": np.random.default_rng(1),
                 "discriminator": np.random.default_rng(2), "eps": np.random.default_rng(3)}
         optim = {"discriminator": adam_state(bundle.discriminator.parameters(), config)}
-        with AdamWorkers(bundle.discriminator.flat.size) as workers:
+        with AdamWorkers() as workers:
             critic_step(bundle, window, np.zeros(config.m), rngs, optim, workers)
         assert all(np.array_equal(p, q) for p, q in
                    zip(before["conditioner"], bundle.conditioner.parameters()))
@@ -244,8 +245,7 @@ class TestSteps:
                 "discriminator": np.random.default_rng(2)}
         optim = {"conditioner": adam_state(bundle.conditioner.parameters(), config),
                  "simulator": adam_state(bundle.simulator.parameters(), config)}
-        with AdamWorkers(max(bundle.conditioner.flat.size,
-                             bundle.simulator.flat.size)) as workers:
+        with AdamWorkers() as workers:
             generator_step(bundle, window, np.zeros(config.m), rngs, optim, workers)
         assert all(np.array_equal(p, q)
                    for p, q in zip(disc_before, bundle.discriminator.parameters()))
@@ -359,9 +359,18 @@ class TestTrain:
                                                    r"window start \d+: proposer: layer \d+"):
                 train(tiny_frame, config)
 
-    def test_adam_overflow_names_epoch_window_role_and_index(self, tiny_frame):
+    def test_adam_overflow_names_epoch_window_role_and_index(self, tiny_frame, monkeypatch):
         # a finite gradient above about 1.3e154 overflows its square in Adam
         config = TrainConfig(model_kind="hybrid_acgan", epochs=2, seed=0, lr=1e8, **TINY)
+        made = []
+
+        class Recorded(AdamWorkers):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr("ganfolio.gan.AdamWorkers", Recorded)
+        threads = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericFault) as caught:
@@ -369,6 +378,9 @@ class TestTrain:
         assert re.fullmatch(r"(proposer )?training diverged at epoch \d+, window start \d+: "
                             r"\w+: adam_step: gradient at index \d+ \(shape \([\d, ]+\)\) "
                             r"overflows the second moment", str(caught.value))
+        # the fault leaves no thread running and no block queued
+        assert threading.active_count() == threads
+        assert made and not any(workers._queue for workers in made)
 
     def test_copy_mu_stats_equal_standard(self, tiny_frame):
         config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0, **TINY)

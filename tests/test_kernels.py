@@ -158,7 +158,7 @@ def test_training_steps_match_tape_step(kind):
     z = np.random.default_rng(9).standard_normal(bundle.config.m)
 
     nets, rngs, optim = fresh_training_state(bundle)
-    with AdamWorkers(max(net.flat.size for net in nets.values())) as workers:
+    with AdamWorkers() as workers:
         gen_loss, _ = generator_step(bundle, window, z, rngs, optim, workers)
         crit_loss = critic_step(bundle, window, z, rngs, optim, workers)
     tape_nets, tape_rngs, tape_optim = fresh_training_state(reference)

@@ -1,11 +1,14 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
-from ganfolio.networks import (ADAM_CHUNK, ROLES, AdamState, AdamWorkers, adam_step,
+from ganfolio.networks import (ADAM_BLOCK, ROLES, AdamState, AdamWorkers, adam_step,
                                build_network, forward, init_parameters, load_networks,
                                sample_dropout_masks, save_networks)
 
@@ -143,7 +146,7 @@ def adam(params, grads, state):
     """adam_step on one flat buffer holding ``params``; returns the updated
     arrays and leaves ``params`` as they were."""
     flat = np.concatenate([np.ravel(p) for p in params])
-    with AdamWorkers(flat.size) as workers:
+    with AdamWorkers() as workers:
         adam_step(flat, np.concatenate([np.ravel(g) for g in grads]), state, workers)
     parts = np.split(flat, np.cumsum([np.size(p) for p in params])[:-1])
     return [part.reshape(np.shape(p)) for part, p in zip(parts, params)]
@@ -215,13 +218,13 @@ class TestAdam:
         # the flat buffer spans two chunks, and the boundary falls inside array 1
         lr, b1, b2, eps = 0.01, 0.5, 0.999, 1e-8
         rng = np.random.default_rng(8)
-        params = [rng.standard_normal(3), rng.standard_normal((2, ADAM_CHUNK // 2 + 1)),
+        params = [rng.standard_normal(3), rng.standard_normal((2, ADAM_BLOCK // 2 + 1)),
                   rng.standard_normal((4, 5))]
         state = AdamState.for_parameters(params, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
         current = params
         theta = np.concatenate([p.ravel() for p in params]).tolist()
         m, v = [0.0] * len(theta), [0.0] * len(theta)
-        assert len(theta) > ADAM_CHUNK
+        assert len(theta) > ADAM_BLOCK
         for t in range(1, 4):
             grads = [rng.standard_normal(p.shape) for p in params]
             current = adam(current, grads, state)
@@ -234,16 +237,75 @@ class TestAdam:
             assert np.concatenate([p.ravel() for p in current]).tolist() == theta
 
     def test_lowest_faulty_index_is_named_whatever_the_chunk(self):
-        params = [np.zeros(3), np.zeros(ADAM_CHUNK), np.zeros(ADAM_CHUNK)]
-        grads = [np.ones(3), np.ones(ADAM_CHUNK), np.ones(ADAM_CHUNK)]
+        params = [np.zeros(3), np.zeros(ADAM_BLOCK), np.zeros(ADAM_BLOCK)]
+        grads = [np.ones(3), np.ones(ADAM_BLOCK), np.ones(ADAM_BLOCK)]
         grads[1][-1], grads[2][0], grads[2][-1] = 1e155, np.inf, 1e155
         with pytest.raises(NumericFault, match=rf"^adam_step: non-finite gradient at index 2 "
-                                               rf"\(shape \({ADAM_CHUNK},\)\)$"):
+                                               rf"\(shape \({ADAM_BLOCK},\)\)$"):
             adam(params, grads, adam_state(params))
         grads[2][0] = 1.0
         with pytest.raises(NumericFault, match=rf"^adam_step: gradient at index 1 "
-                                               rf"\(shape \({ADAM_CHUNK},\)\) overflows"):
+                                               rf"\(shape \({ADAM_BLOCK},\)\) overflows"):
             adam(params, grads, adam_state(params))
+
+    @pytest.mark.filterwarnings("error")
+    def test_waiting_on_an_update_raises_only_its_own_fault(self):
+        # the first update spans two blocks and overflows in the second
+        first = [np.zeros(3), np.zeros(ADAM_BLOCK)]
+        grads = np.ones(3 + ADAM_BLOCK)
+        grads[-1] = 1e155
+        second = np.zeros(5)
+        with AdamWorkers() as workers:
+            faulty = workers.submit(np.zeros(3 + ADAM_BLOCK), grads, adam_state(first),
+                                    "simulator")
+            clean = workers.submit(second, np.ones(5), adam_state([second]), "conditioner")
+            workers.wait(clean)
+            assert np.all(second < 0.0)
+            with pytest.raises(NumericFault, match=rf"^simulator: adam_step: gradient at index 1 "
+                                                   rf"\(shape \({ADAM_BLOCK},\)\) overflows"):
+                workers.wait(faulty)
+
+    def test_eight_threads_match_one_under_fast_switching(self, monkeypatch):
+        # a lost or repeated block would change some element's bits or leave a block queued
+        rng = np.random.default_rng(3)
+        sizes = (5, ADAM_BLOCK + 7, 3 * ADAM_BLOCK)
+        grads = [rng.standard_normal(size) for size in sizes]
+
+        def train(cpus, out):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            params = [np.zeros(size) for size in sizes]
+            states = [adam_state([p]) for p in params]
+            with AdamWorkers() as workers:
+                for _ in range(20):
+                    for p, g, state in zip(params, grads, states):
+                        workers.submit(p, g, state)
+                    workers.wait()
+                out.extend(params)
+                out.append(len(workers._queue))
+
+        one, eight = [], []
+        train(1, one)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=train, args=(8, eight), daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert eight[-1] == 0
+        assert all(np.array_equal(a, b) for a, b in zip(one[:-1], eight[:-1]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_exception_in_a_block_reaches_the_waiter(self):
+        # lr * 1 subtracted from -1e308 overflows in every block, as a RuntimeWarning error
+        params = np.full(3 * ADAM_BLOCK, -1e308)
+        state = adam_state([params], lr=1e308)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            with AdamWorkers() as workers:
+                adam_step(params, np.ones(params.size), state, workers)
 
 
 class TestArchive:
@@ -267,6 +329,24 @@ class TestArchive:
         (tmp_path / "junk.gfa").write_bytes(b"junk")
         with pytest.raises(ValidationError, match="not a ganfolio archive"):
             load_networks(tmp_path / "junk.gfa")
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b'"tanh"', b'"tanX"', "unknown layer kind 'tanX'"),
+        (b'["affine",128,256', b'["affine",129,256',
+         "simulator: affine chain broken, 128 -> 129"),
+        (b'"shape":[128]', b'"shape":[127]', "simulator: parameter shape mismatch at affine 0"),
+        (b'"nbytes":1024,', b'"nbytes":1025,',
+         "array 1 of simulator does not fit the archive or its shape [128]"),
+        (b'"version":1', b'"version":2', "unsupported archive version 2"),
+    ], ids=["layer_kind", "affine_chain", "shape", "nbytes", "version"])
+    def test_header_errors_name_the_archive_once(self, tmp_path, old, new, message):
+        save_networks(tmp_path / "a.gfa", {"simulator": built("simulator")}, {})
+        raw = (tmp_path / "a.gfa").read_bytes()
+        assert raw.count(old) == 1 and len(old) == len(new)
+        (tmp_path / "bad.gfa").write_bytes(raw.replace(old, new))
+        with pytest.raises(ValidationError) as caught:
+            load_networks(tmp_path / "bad.gfa")
+        assert str(caught.value) == f"{tmp_path / 'bad.gfa'}: {message}"
 
 
 class TestForwardGradients:
