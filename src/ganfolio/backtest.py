@@ -96,21 +96,28 @@ def strategy_from_paths(paths: np.ndarray, test_frame: PriceFrame, eta: int,
     _require_positive_paths(paths, test_frame)
     days = rebalance_days(k, h, eta)
     spans = [_covering_block_span(t, eta, h, f, k) for t in days]
-    return [_schedule(b, days, spans, r_f) for b in paths]
+    return _schedule(paths, days, spans, r_f)
 
 
-def _schedule(prices: np.ndarray, days: tuple[int, ...], spans: list[tuple[int, int]],
-              r_f: float) -> WeightSchedule:
-    """Max-Sharpe weights at each rebalance day over its 1-based [start, stop] price span.
+def _schedule(paths: np.ndarray, days: tuple[int, ...], spans: list[tuple[int, int]],
+              r_f: float) -> list[WeightSchedule]:
+    """Max-Sharpe weights of each (N, K) price path of ``paths`` at each rebalance day.
 
-    Every strategy, generated or Markowitz, allocates through here; a span
-    shared by several days is solved once.
+    Day ``days[j]`` allocates over its 1-based [start, stop] price span ``spans[j]``.
+
+    Every strategy, generated or Markowitz, allocates through here.  A span
+    shared by several days is solved once, and the problems of every path
+    over every span of one length are solved as one stack.
     """
-    solved = {}
+    by_length = {}
     for start, stop in dict.fromkeys(spans):
-        returns = simple_returns(prices[:, start - 1:stop])
-        solved[start, stop] = max_sharpe_weights(estimate_moments(returns), r_f)
-    return WeightSchedule(days, np.array([solved[span] for span in spans]))
+        by_length.setdefault(stop - start, []).append((start, stop))
+    solved = {}
+    for group in by_length.values():
+        stack = np.stack([paths[:, :, start - 1:stop] for start, stop in group], axis=1)
+        weights = max_sharpe_weights(estimate_moments(simple_returns(stack)), r_f)
+        solved.update(zip(group, np.swapaxes(weights, 0, 1)))
+    return [WeightSchedule(days, w) for w in np.stack([solved[span] for span in spans], axis=1)]
 
 
 def _require_positive_paths(paths: np.ndarray, test_frame: PriceFrame) -> None:
@@ -202,7 +209,7 @@ def markowitz_schedule(test_frame: PriceFrame, eta: int, h: int,
     days = rebalance_days(test_frame.day_count, h, eta)
     if h < 3:
         raise ValidationError(f"need at least 3 trailing prices (2 returns), got {h}")
-    return _schedule(test_frame.prices, days, [(t - h, t - 1) for t in days], r_f)
+    return _schedule(test_frame.prices[None], days, [(t - h, t - 1) for t in days], r_f)[0]
 
 
 def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,

@@ -586,11 +586,11 @@ _RETIRED_CONFIG_KEYS = {"batch_windows": 1, "critic_steps_per_gen": 1, "adam_eps
                         "output_scale": None, "proposer_mode": "network"}
 
 
-def _current_config_keys(config: dict, path) -> dict:
+def _current_config_keys(config: dict) -> dict:
     config = dict(config)
     for key, supported in _RETIRED_CONFIG_KEYS.items():
         if key in config and config.pop(key) != supported:
-            raise ValidationError(f"{path}: bundle was trained with {key} other than "
+            raise ValidationError(f"bundle was trained with {key} other than "
                                   f"{supported!r}, which this version no longer supports")
     return config
 
@@ -600,11 +600,13 @@ def load_bundle(path) -> ModelBundle:
     components, meta = load_networks(path)
     try:
         if meta.get("kind") != "model-bundle":
-            raise ValidationError(f"{path}: archive does not contain a model bundle")
-        config = TrainConfig(**_current_config_keys(meta["config"], path))
+            raise ValidationError("archive does not contain a model bundle")
+        config = TrainConfig(**_current_config_keys(meta["config"]))
         mse = meta.get("proposer_mse")
         return ModelBundle(config=config, tickers=tuple(meta["tickers"]), **components,
                            proposer_mse=float("nan") if mse is None else float(mse),
                            trained=bool(meta.get("trained", False)))
+    except ValidationError as err:  # from a check here or from TrainConfig and ModelBundle
+        raise ValidationError(f"{path}: {err}") from None
     except (ValueError, TypeError, KeyError, AttributeError) as err:
         raise ValidationError(f"{path}: damaged bundle metadata ({err!r})") from None

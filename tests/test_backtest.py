@@ -182,22 +182,35 @@ class TestStrategyFromPaths:
     def test_each_distinct_span_solved_once_per_draw(self, monkeypatch):
         frame = sinusoid_frame(2, days=24, seed=5)
         paths = self._paths(frame)
-        calls = []
+        solved = []
 
         def counting(moments, r_f):
-            calls.append(r_f)
+            solved.append(moments.mean_returns[..., 0].size)  # members of the stack
             return max_sharpe_weights(moments, r_f)
 
         monkeypatch.setattr(backtest, "max_sharpe_weights", counting)
         schedules = strategy_from_paths(paths, frame, eta=2, h=8, f=4)
         # days 9, 11, ..., 23 pair up on the blocks 9-12, 13-16, 17-20 and 21-24
-        assert len(calls) == 4 * len(paths)
+        assert sum(solved) == 4 * len(paths)
         for s, b in zip(schedules, paths):
             for j, t in enumerate(s.rebalance_indices):
                 start = 9 + (t - 9) // 4 * 4
                 block = b[:, start - 1:start + 3]
                 expected = max_sharpe_weights(estimate_moments(simple_returns(block)))
                 assert np.array_equal(s.weights[j], expected), t
+
+    @pytest.mark.parametrize("eta", [2, 6, 9])
+    def test_draw_schedule_independent_of_the_other_draws(self, eta):
+        # eta 6 and 9 mix covering spans of 4, 8 and 12 days, so several stacks are solved
+        frame = sinusoid_frame(3, days=40, seed=11)
+        paths = self._paths(frame, n_draws=7, seed=12)
+        paths[2] = 7.0  # zero covariance on every span
+        paths[4] *= np.linspace(1.0, 0.2, 40)  # falling: the min-variance fallback
+        together = strategy_from_paths(paths, frame, eta=eta, h=8, f=4)
+        for b, s in zip(paths, together):
+            alone, = strategy_from_paths(b[None], frame, eta=eta, h=8, f=4)
+            assert alone.rebalance_indices == s.rebalance_indices
+            assert np.array_equal(alone.weights, s.weights)
 
     def test_constant_paths_fall_back_to_min_variance(self):
         frame = sinusoid_frame(2, days=24, seed=6)

@@ -278,6 +278,20 @@ class TestSimulateCommand:
                      str(corrupt), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
         assert capsys.readouterr().err == f"error: {corrupt}: unknown layer kind 'tanX'\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", -1.0, "lr must be positive and finite, got -1.0"),
+        ("model_kind", "acgan", "acgan bundle needs a decoder")])
+    def test_rejected_bundle_config_names_the_bundle(self, data_csv, trained_run, tmp_path,
+                                                     capsys, key, value, message):
+        # the first is TrainConfig's check, the second ModelBundle's
+        bundle = tmp_path / "rejected.gfa"
+        components, meta = load_networks(trained_run / "bundle.gfa")
+        meta["config"][key] = value
+        save_networks(bundle, components, meta)
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT, "--bundle",
+                     str(bundle), "--n-draws", "1", "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
+
     def test_non_finite_simulator_exit_3_names_layer(self, data_csv, trained_run, tmp_path):
         # 1e308 times a latent entry above 1.8 in magnitude overflows the first affine layer
         bundle = tmp_path / "overflow.gfa"

@@ -191,6 +191,91 @@ class TestCovarianceChecks:
         estimate_moments(np.tile(rng.standard_normal(8), (4, 1)), ridge=0.0)
 
 
+def special_members(n):
+    """Hand-built members that take the solver's separate branches, for n >= 3 assets."""
+    eye = np.eye(n)
+    twins = 0.04 * eye
+    twins[:2, :2] = 0.04  # assets 0 and 1 are the same asset
+    return [
+        (-0.01 * np.arange(1.0, n + 1), 0.04 * eye + 0.01),  # min-variance fallback
+        (np.linspace(-0.1, 0.2, n), np.zeros((n, n))),  # all-zero covariance
+        (-np.ones(n), np.zeros((n, n))),  # all-zero covariance, fallback
+        (np.full(n, 0.1), np.full((n, n), 0.04)),  # identical assets: the tie rule
+        (np.r_[0.1, 0.1, np.full(n - 2, 0.05)], twins),  # singular: the minimum-norm tie
+    ]
+
+
+class TestStackedSolve:
+    """A stack is solved in lockstep; each member must come out as if solved alone."""
+
+    def stack(self, rng, n, count):
+        members = special_members(n)
+        for _ in range(count):
+            t = int(rng.integers(3, 30))
+            market = rng.standard_normal(t) * 0.01
+            returns = (rng.standard_normal((n, t)) * 0.01 + rng.random((n, 1)) * market
+                       + rng.standard_normal((n, 1)) * 0.003)
+            m = estimate_moments(returns)
+            members.append((m.mean_returns, m.covariance))
+        order = rng.permutation(len(members))
+        return (np.stack([members[i][0] for i in order]),
+                np.stack([members[i][1] for i in order]))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_stack_equals_each_member_alone(self, n):
+        rng = np.random.default_rng(40 + n)
+        mu, cov = self.stack(rng, n, 60)
+        for r_f in (0.0, 0.002):
+            got = max_sharpe_weights(moments(mu, cov), r_f)
+            for i in range(len(mu)):
+                assert np.array_equal(got[i], max_sharpe_weights(moments(mu[i], cov[i]), r_f)), i
+            # the members end on several different supports, so their free sets differ
+            assert len({tuple(w > 0) for w in got}) >= 4
+        got = min_variance_weights(moments(mu, cov))
+        for i in range(len(mu)):
+            assert np.array_equal(got[i], min_variance_weights(moments(mu[i], cov[i]))), i
+
+    def test_leading_axes_keep_their_shape(self):
+        mu, cov = self.stack(np.random.default_rng(7), 4, 7)  # 12 members
+        flat = max_sharpe_weights(moments(mu, cov))
+        shaped = max_sharpe_weights(moments(mu.reshape(3, 4, 4), cov.reshape(3, 4, 4, 4)))
+        assert shaped.shape == (3, 4, 4)
+        assert np.array_equal(shaped.reshape(12, 4), flat)
+
+    def test_estimate_moments_stacks_along_leading_axes(self):
+        returns = np.random.default_rng(8).standard_normal((2, 3, 4, 25)) * 0.01
+        stacked = estimate_moments(returns)
+        for index in np.ndindex(2, 3):
+            alone = estimate_moments(returns[index])
+            assert np.array_equal(stacked.mean_returns[index], alone.mean_returns)
+            assert np.array_equal(stacked.covariance[index], alone.covariance)
+
+    def test_indefinite_member_is_named(self):
+        mu, cov = self.stack(np.random.default_rng(9), 3, 3)  # 8 members
+        cov[4] = np.diag([-0.04, 0.04, 0.04])
+        with pytest.raises(ValidationError, match=r"^member 4: covariance is not positive "
+                                                  r"semidefinite \(smallest eigenvalue -0.04\)"):
+            moments(mu, cov)
+        with pytest.raises(ValidationError, match=r"^member \(1, 0\): covariance is not positive"):
+            moments(mu.reshape(2, 4, 3), cov.reshape(2, 4, 3, 3))
+
+    def test_non_finite_and_asymmetric_members_are_named(self):
+        mu, cov = self.stack(np.random.default_rng(10), 3, 6)
+        bad_mu = mu.copy()
+        bad_mu[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="^member 2: moment estimate contains non-finite"):
+            moments(bad_mu, cov)
+        cov[6, 0, 1] += 0.01
+        with pytest.raises(ValidationError, match="^member 6: covariance is not symmetric"):
+            moments(mu, cov)
+
+    def test_singular_member_rejected(self):
+        mu, cov = self.stack(np.random.default_rng(11), 3, 6)
+        mu[5], cov[5] = [0.1, 0.1, 0.1], np.diag([0.0, 0.04, 0.04])
+        with pytest.raises(ValidationError, match="^singular covariance: the allocation is unbounded$"):
+            max_sharpe_weights(moments(mu, cov))
+
+
 def markowitz_first_weights(prices):
     """First Markowitz rebalance of a frame whose first trailing window is ``prices``."""
     h = prices.shape[1]
