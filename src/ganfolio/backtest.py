@@ -44,7 +44,7 @@ class WeightSchedule:
             raise ValidationError("schedule needs at least one rebalance date")
         if (np.diff(indices) <= 0).any():
             raise ValidationError("rebalance indices must be strictly increasing")
-        if not np.allclose(weights.sum(axis=1), 1.0, atol=1e-8):
+        if not (np.abs(weights.sum(axis=1) - 1.0) <= 1e-8).all():
             raise ValidationError("weights must sum to 1 at every rebalance date")
         if (weights < -1e-9).any() or (weights > 1 + 1e-9).any():
             raise ValidationError("weights must lie in [0, 1]")

@@ -523,6 +523,11 @@ def _trainable_nets(bundle: ModelBundle) -> dict[str, MlpNetwork]:
 # inference
 # ---------------------------------------------------------------------------
 
+# the most simulator rows per forward, so that its 1024-wide activations stay
+# about 1 MB whatever the number of draws and blocks
+SIMULATOR_CHUNK_ROWS = 128
+
+
 def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
                    seed: int = 0) -> np.ndarray:
     """Synthesize ``n_draws`` full test-period paths, shape (n_draws, N, K).
@@ -534,10 +539,10 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
     end with it, and :func:`window_stats` normalizes it exactly as training
     does; only the eavesdrop diagnostic reads the window's future days.  Draw
     j takes its latent vectors, one row per block, from its own stream keyed
-    by (seed, j), so a draw's noise does not depend on ``n_draws``.  The
-    normalization and conditioner code depend only on the block, so each
-    block computes them once and runs the simulator on all draws as one row
-    batch.  A NumericFault names the block's first test day and its date.
+    by (seed, j), so a draw's noise does not depend on ``n_draws``.  Blocks
+    do not depend on each other, so all of them are generated at once (see
+    :func:`_generate`).  A NumericFault names the first faulting block's
+    first test day and its date.
     """
     if not bundle.trained:
         raise ValidationError("bundle is not trained; run train() or load a trained archive")
@@ -547,25 +552,46 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
     if n_draws < 1:
         raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
     h, f = bundle.config.h, bundle.config.f
-    starts = inference_index_set(test_frame.day_count, h, f)
-    # z[j, b] is draw j's latent vector for block b
-    z = np.stack([_rng(seed, "draw", extra=j).standard_normal((starts.size, bundle.config.m))
-                  for j in range(n_draws)])
+    starts = inference_index_set(test_frame.day_count, h, f).tolist()
+    windows = [extract_window(test_frame, start - h, h, f) for start in starts]
+    # z[b, j] is draw j's latent vector for block b
+    z = np.stack([_rng(seed, "draw", extra=j).standard_normal((len(starts), bundle.config.m))
+                  for j in range(n_draws)], axis=1)
+    try:
+        stats, blocks = _generate(bundle, windows, z)
+    except NumericFault:
+        # rerun one block at a time to name the first that faults
+        for b, start in enumerate(starts):
+            try:
+                _generate(bundle, windows[b:b + 1], z[b:b + 1])
+            except NumericFault as fault:
+                raise NumericFault(f"simulating the block from test day {start} "
+                                   f"({test_frame.dates[start - 1]}): {fault}") from fault
+        raise
     paths = np.repeat(test_frame.prices[None], n_draws, axis=0)
-    for b, start in enumerate(starts.tolist()):
-        window = extract_window(test_frame, start - h, h, f)
-        try:
-            stats = window_stats(bundle, window)
-            code = forward(bundle.conditioner, normalize(window.historical, stats).ravel())
-            latent = np.concatenate([z[:, b], np.broadcast_to(code, (n_draws, code.size))],
-                                    axis=1)
-            block = forward(bundle.simulator, latent)
-        except NumericFault as fault:
-            raise NumericFault(f"simulating the block from test day {start} "
-                               f"({test_frame.dates[start - 1]}): {fault}") from fault
-        paths[:, :, start - 1:start - 1 + f] = denormalize(
-            block.reshape(n_draws, bundle.n_assets, f), stats)
+    for start, block_stats, block in zip(starts, stats, blocks):
+        paths[:, :, start - 1:start - 1 + f] = denormalize(block, block_stats)
     return paths
+
+
+def _generate(bundle: ModelBundle, windows: list[WindowSample], z: np.ndarray):
+    """Each block's stats and normalized draws, shape (blocks, draws, N, f).
+
+    ``z`` holds the (blocks, draws, m) latent vectors.  The proposer (hybrid
+    regime) runs once per block inside :func:`window_stats`, the conditioner
+    once on the stack of normalized histories, and the simulator on the
+    (block, draw) rows in balanced chunks of at most SIMULATOR_CHUNK_ROWS.
+    """
+    stats = [window_stats(bundle, window) for window in windows]
+    codes = forward(bundle.conditioner, np.stack(
+        [normalize(window.historical, s).ravel() for window, s in zip(windows, stats)]))
+    n_blocks, n_draws = z.shape[:2]
+    latent = np.concatenate(
+        [z, np.broadcast_to(codes[:, None], (n_blocks, n_draws, codes.shape[1]))],
+        axis=2).reshape(n_blocks * n_draws, -1)
+    chunks = np.array_split(latent, -(-latent.shape[0] // SIMULATOR_CHUNK_ROWS))
+    rows = np.concatenate([forward(bundle.simulator, chunk) for chunk in chunks])
+    return stats, rows.reshape(n_blocks, n_draws, bundle.n_assets, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,15 @@ class TestWeightSchedule:
         with pytest.raises(ValidationError, match="sum to 1"):
             schedule([1, 2], [[0.7, 0.7], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("excess", [5e-6, -5e-6, 2e-8, np.nan])
+    def test_rejects_sum_off_by_more_than_1e_8(self, excess):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            schedule([1], [[0.25, 0.75 + excess]])
+
+    @pytest.mark.parametrize("excess", [5e-9, -5e-9])
+    def test_accepts_sum_within_1e_8(self, excess):
+        assert schedule([1], [[0.25, 0.75 + excess]]).weights[0, 1] == 0.75 + excess
+
     def test_rebalance_days_paper_counts(self):
         assert len(rebalance_days(800, 40, 20)) == 38
         assert rebalance_days(800, 40, 20)[:3] == (41, 61, 81)

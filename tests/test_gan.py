@@ -1,3 +1,4 @@
+import copy
 import re
 import threading
 import warnings
@@ -21,17 +22,18 @@ import oracles
 from oracles import critic_loss, generator_loss, gradient_penalty, mean_proposer, per_draw_paths
 
 
-def count_forwards(monkeypatch, bundle, test_frame, n_draws):
-    """Number of network forwards made by one simulate_paths call."""
-    calls = []
+def forward_rows(monkeypatch, bundle, test_frame, n_draws):
+    """The input row count of each network forward made by one simulate_paths
+    call, as {role: [rows, ...]} in call order; a 1-D input counts one row."""
+    calls = {}
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].role)
-        return forward(*args, **kwargs)
+    def counting(net, x):
+        calls.setdefault(net.role, []).append(1 if np.ndim(x) == 1 else len(x))
+        return forward(net, x)
 
     monkeypatch.setattr(gan, "forward", counting)
     simulate_paths(bundle, test_frame, n_draws=n_draws, seed=0)
-    return len(calls)
+    return calls
 
 
 def write_with_config_keys(path, bundle, **keys):
@@ -429,10 +431,11 @@ class TestHybridNetworkTraining:
         want = per_draw_paths(hybrid, test.prices, n_draws=1, seed=2)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_one_proposer_conditioner_and_simulator_forward_per_block(self, hybrid, tiny_frame,
-                                                                       monkeypatch):
-        test = make_frame(tiny_frame.prices[:, :20])
-        assert count_forwards(monkeypatch, hybrid, test, n_draws=9) == 3 * 3
+    def test_proposer_per_block_others_stacked(self, hybrid, tiny_frame, monkeypatch):
+        test = make_frame(tiny_frame.prices[:, :20])  # blocks start at days 9, 13, 17
+        calls = forward_rows(monkeypatch, hybrid, test, n_draws=50)
+        assert calls == {hybrid.proposer.role: [1, 1, 1], hybrid.conditioner.role: [3],
+                         hybrid.simulator.role: [75, 75]}
 
 
 class TestSimulatePaths:
@@ -488,11 +491,39 @@ class TestSimulatePaths:
         want = per_draw_paths(tiny_cgan, test.prices, n_draws=1, seed=4)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n_draws", [1, 9])
-    def test_one_conditioner_and_simulator_forward_per_block(self, tiny_frame, tiny_cgan,
-                                                              monkeypatch, n_draws):
+    @pytest.mark.parametrize("n_draws", [1, 9, 42, 43, 100])
+    def test_one_conditioner_forward_and_chunked_simulator_forwards(self, tiny_frame, tiny_cgan,
+                                                                    monkeypatch, n_draws):
         test = make_frame(tiny_frame.prices[:, :20])  # blocks start at days 9, 13, 17
-        assert count_forwards(monkeypatch, tiny_cgan, test, n_draws) == 2 * 3
+        calls = forward_rows(monkeypatch, tiny_cgan, test, n_draws)
+        assert calls.keys() == {"conditioner", "simulator"}
+        assert calls["conditioner"] == [3]
+        # the fewest chunks of at most 128 rows, balanced to within one row
+        sizes, rows = calls["simulator"], 3 * n_draws
+        assert gan.SIMULATOR_CHUNK_ROWS == 128
+        assert sum(sizes) == rows and len(sizes) == -(-rows // 128)
+        assert max(sizes) <= 128 and max(sizes) - min(sizes) <= 1
+
+    def test_fault_names_the_first_faulting_block(self, tiny_frame, tiny_cgan):
+        # 1e308 times a latent entry above 1.8 in magnitude overflows the
+        # simulator's first affine layer.  Pick a seed whose two draws keep that
+        # entry below 1 in the first and last block and pass 2 in the middle one,
+        # so only the block from test day 13 overflows.
+        def first_entries(seed):  # (draws, blocks), keyed like the library's draw streams
+            return np.abs([np.random.default_rng([seed, 6, 0, j]).standard_normal((3, 6))[:, 0]
+                           for j in range(2)])
+        seed = next(seed for seed in range(1000)
+                    if (first_entries(seed)[:, [0, 2]] < 1.0).all()
+                    and (first_entries(seed)[:, 1] > 2.0).any())
+        bundle = copy.deepcopy(tiny_cgan)
+        bundle.simulator.weights[0][0, 0] = 1e308
+        layer = bundle.simulator.layers[0]
+        test = make_frame(tiny_frame.prices[:, :20])
+        with pytest.raises(NumericFault) as raised:
+            simulate_paths(bundle, test, n_draws=2, seed=seed)
+        assert str(raised.value) == (
+            f"simulating the block from test day 13 ({test.dates[12]}): simulator: layer 0 "
+            f"(affine {layer.in_dim}->{layer.out_dim}) produced a non-finite value")
 
     def test_nonhybrid_normalized_output_strictly_inside_unit(self, tiny_frame, tiny_cgan):
         test = make_frame(tiny_frame.prices[:, :20])
