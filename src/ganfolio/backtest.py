@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .marketdata import PriceFrame, simple_returns
-from .portfolio import estimate_moments, max_sharpe_weights
+from .portfolio import _member, estimate_moments, max_sharpe_weights
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -27,27 +27,36 @@ _DEGENERATE_STD = 1e-12
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Long-only weight vectors at strictly increasing 1-based rebalance days."""
+    """Long-only weight vectors at strictly increasing 1-based rebalance days.
+
+    ``weights`` is (n_rebalances, n_assets) for one strategy, or
+    (members, n_rebalances, n_assets) for a stack of strategies that share
+    their rebalance days.  A stack is checked once; a failing check names
+    the first member that fails it.
+    """
 
     rebalance_indices: tuple[int, ...]
-    weights: np.ndarray  # (n_rebalances, n_assets)
+    weights: np.ndarray
 
     def __post_init__(self):
         indices = tuple(int(i) for i in self.rebalance_indices)
         weights = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "rebalance_indices", indices)
         object.__setattr__(self, "weights", weights)
-        if weights.ndim != 2 or weights.shape[0] != len(indices):
+        if weights.ndim not in (2, 3) or weights.shape[-2] != len(indices):
             raise ValidationError(
                 f"weights shape {weights.shape} vs {len(indices)} rebalance dates")
         if len(indices) == 0:
             raise ValidationError("schedule needs at least one rebalance date")
         if (np.diff(indices) <= 0).any():
             raise ValidationError("rebalance indices must be strictly increasing")
-        if not (np.abs(weights.sum(axis=1) - 1.0) <= 1e-8).all():
-            raise ValidationError("weights must sum to 1 at every rebalance date")
-        if (weights < -1e-9).any() or (weights > 1 + 1e-9).any():
-            raise ValidationError("weights must lie in [0, 1]")
+        off_sum = ~(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-8).all(axis=-1)
+        if off_sum.any():
+            raise ValidationError(
+                f"{_member(off_sum)}weights must sum to 1 at every rebalance date")
+        outside = ((weights < -1e-9) | (weights > 1 + 1e-9)).any(axis=(-2, -1))
+        if outside.any():
+            raise ValidationError(f"{_member(outside)}weights must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -163,23 +172,30 @@ def portfolio_value_series(schedule: WeightSchedule, frame: PriceFrame) -> tuple
 
     Holdings are fixed shares bought at each rebalance close; at the next
     rebalance the full value moves to the new weights at that day's close.
+    A stacked schedule gives one row of values per member.  Each value is
+    its period's base value times one 1-D dot of the member's weights with
+    the day's prices relative to the period's first close, so a member's
+    series does not depend on the other members.
     """
     first = schedule.rebalance_indices[0]
     last = schedule.rebalance_indices[-1]
     if first < 1 or last > frame.day_count:
         raise ValidationError(
             f"schedule spans days {first}..{last}, frame has {frame.day_count}")
-    if schedule.weights.shape[1] != frame.n_assets:
+    if schedule.weights.shape[-1] != frame.n_assets:
         raise ValidationError("schedule asset count does not match the frame")
     prices = frame.prices
-    values = np.empty(frame.day_count - first + 1)
-    values[0] = 1.0
+    weights = schedule.weights.reshape(-1, *schedule.weights.shape[-2:])
+    values = np.empty((len(weights), frame.day_count - first + 1))
+    values[:, 0] = 1.0
     bounds = (*schedule.rebalance_indices, frame.day_count)
-    for start, end, weights in zip(bounds, bounds[1:], schedule.weights):
-        base_value, base_prices = values[start - first], prices[:, start - 1]
-        for t in range(start + 1, end + 1):
-            values[t - first] = base_value * float(weights @ (prices[:, t - 1] / base_prices))
-    return values, frame.dates[first - 1:]
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        # (days, N) with contiguous rows: matmul then makes one vector dot per
+        # member and day, the same BLAS dot as a 1-D ``weights @ relative[d]``
+        relative = np.ascontiguousarray(prices[:, start:end].T) / prices[:, start - 1]
+        dots = np.matmul(relative[None, :, None, :], weights[:, i, None, :, None])[..., 0, 0]
+        values[:, start - first + 1:end - first + 1] = values[:, start - first, None] * dots
+    return values.reshape(schedule.weights.shape[:-2] + values.shape[1:]), frame.dates[first - 1:]
 
 
 def annualized_metrics(value_series, r_f: float = 0.0) -> AnnualizedMetrics:
@@ -189,18 +205,31 @@ def annualized_metrics(value_series, r_f: float = 0.0) -> AnnualizedMetrics:
     with the degenerate flag set instead of a division blow-up.
     """
     values = np.asarray(value_series, dtype=np.float64)
-    if values.size < 2:
+    if values.ndim != 1:
+        raise ValidationError(f"value series must be 1-D, got shape {values.shape}")
+    annual_return, annual_sharpe, degenerate = _annualize(values, r_f)
+    return AnnualizedMetrics(float(annual_return), float(annual_sharpe), bool(degenerate))
+
+
+def _annualize(values: np.ndarray, r_f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Annual return, annual Sharpe ratio and degenerate flag of each value
+    series along the last axis of ``values``.
+
+    Each row's daily returns are contiguous, so its mean and std are the
+    same reductions, bit for bit, as those of the row alone.
+    """
+    if values.shape[-1] < 2:
         raise ValidationError("value series needs at least 2 points")
-    if (values <= 0).any():
-        raise ValidationError("value series must stay positive")
-    daily = values[1:] / values[:-1] - 1.0
-    mean = daily.mean()
-    std = daily.std()
-    annual_return = mean * TRADING_DAYS_PER_YEAR
-    if std < _DEGENERATE_STD * max(1.0, abs(mean)):
-        return AnnualizedMetrics(annual_return, 0.0, True)
-    sharpe = (mean - r_f / TRADING_DAYS_PER_YEAR) / std * np.sqrt(TRADING_DAYS_PER_YEAR)
-    return AnnualizedMetrics(annual_return, float(sharpe), False)
+    invalid = ~(np.isfinite(values) & (values > 0)).all(axis=-1)
+    if invalid.any():
+        raise ValidationError(f"{_member(invalid)}value series must stay positive and finite")
+    daily = values[..., 1:] / values[..., :-1] - 1.0
+    mean = daily.mean(axis=-1)
+    std = daily.std(axis=-1)
+    degenerate = std < _DEGENERATE_STD * np.maximum(1.0, np.abs(mean))
+    sharpe = ((mean - r_f / TRADING_DAYS_PER_YEAR) / np.where(degenerate, 1.0, std)
+              * np.sqrt(TRADING_DAYS_PER_YEAR))
+    return mean * TRADING_DAYS_PER_YEAR, np.where(degenerate, 0.0, sharpe), degenerate
 
 
 def markowitz_schedule(test_frame: PriceFrame, eta: int, h: int,
@@ -222,29 +251,25 @@ def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,
     annual Sharpe) scatter point per draw, each draw's schedule applied to
     the real test prices.
     """
-    scatter = None
     if isinstance(model, str):
         if model != "markowitz":
             raise ValidationError(f"unknown model {model!r}")
         if h is None:
             raise ValidationError("markowitz baseline needs the trailing window length h")
+        draws = []
         schedule = markowitz_schedule(test_frame, eta, h, r_f)
     else:
         from .gan import simulate_paths  # deferred: backtest does not need GAN machinery otherwise
 
         paths = simulate_paths(model, test_frame, n_draws, seed)
-        schedules = strategy_from_paths(paths, test_frame, eta, r_f,
-                                        h=model.config.h, f=model.config.f)
-        scatter = np.array([(r.annual_return, r.annual_sharpe)
-                            for r in (_score(s, test_frame, r_f) for s in schedules)])
-        schedule = mean_strategy(schedules)
-    return _score(schedule, test_frame, r_f, scatter)
-
-
-def _score(schedule: WeightSchedule, test_frame: PriceFrame, r_f: float,
-           draw_scatter: np.ndarray | None = None) -> BacktestResult:
-    """Apply ``schedule`` to the real test prices and annualize the result."""
-    values, dates = portfolio_value_series(schedule, test_frame)
-    metrics = annualized_metrics(values, r_f)
-    return BacktestResult(values, dates, metrics.annual_return, metrics.annual_sharpe,
-                          metrics.degenerate, schedule, draw_scatter)
+        draws = strategy_from_paths(paths, test_frame, eta, r_f,
+                                    h=model.config.h, f=model.config.f)
+        schedule = mean_strategy(draws)
+    # every draw and then the strategy itself, applied to the real test prices as one stack
+    stack = WeightSchedule(schedule.rebalance_indices,
+                           np.stack([s.weights for s in (*draws, schedule)]))
+    values, dates = portfolio_value_series(stack, test_frame)
+    annual_return, annual_sharpe, degenerate = _annualize(values, r_f)
+    scatter = np.column_stack([annual_return[:-1], annual_sharpe[:-1]]) if draws else None
+    return BacktestResult(values[-1], dates, float(annual_return[-1]), float(annual_sharpe[-1]),
+                          bool(degenerate[-1]), schedule, scatter)

@@ -448,11 +448,18 @@ class AdamUpdate:
                 v += s1
         except FloatingPointError:
             return 1, lo + int(np.argmin(np.isfinite(s1) & np.isfinite(v)))
-        np.divide(v, self.c2, out=s1)
-        np.sqrt(s1, out=s1)
+        # a bias correction of exactly 1.0 divides nothing: x / 1.0 == x bit for bit
+        if self.c2 == 1.0:
+            np.sqrt(v, out=s1)
+        else:
+            np.divide(v, self.c2, out=s1)
+            np.sqrt(s1, out=s1)
         s1 += state.epsilon
-        np.divide(m, self.c1, out=s2)
-        s2 /= s1
+        if self.c1 == 1.0:
+            np.divide(m, s1, out=s2)
+        else:
+            np.divide(m, self.c1, out=s2)
+            s2 /= s1
         s2 *= state.lr
         p -= s2
         return None

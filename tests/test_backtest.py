@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ class TestWeightSchedule:
     @pytest.mark.parametrize("excess", [5e-9, -5e-9])
     def test_accepts_sum_within_1e_8(self, excess):
         assert schedule([1], [[0.25, 0.75 + excess]]).weights[0, 1] == 0.75 + excess
+
+    def test_stack_checked_once_naming_the_failing_member(self):
+        weights = np.tile([0.25, 0.75], (6, 2, 1))
+        assert schedule([1, 3], weights).weights.shape == (6, 2, 2)
+        weights[4, 1] = [0.5, 0.6]
+        with pytest.raises(ValidationError, match="^member 4: weights must sum to 1"):
+            schedule([1, 3], weights)
+        weights[4, 1], weights[2, 0] = [0.25, 0.75], [-0.5, 1.5]
+        with pytest.raises(ValidationError, match=r"^member 2: weights must lie in \[0, 1\]"):
+            schedule([1, 3], weights)
 
     def test_rebalance_days_paper_counts(self):
         assert len(rebalance_days(800, 40, 20)) == 38
@@ -97,6 +109,29 @@ class TestPortfolioValueSeries:
         values, _ = portfolio_value_series(s, frame)
         assert np.array_equal(values, per_day_value_series(s, frame))
 
+    def test_stack_matches_per_day_reference_bit_for_bit(self):
+        # random widths, holding periods of 1 to 24 days and stacks of 1 to 9 draws;
+        # a price frame needs 2 assets, so a bare stand-in carries the 1-asset case
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            n, draws = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+            eta = 1 if trial < 5 else int(rng.integers(1, 25))
+            days = int(rng.integers(2, 80))
+            scale = 10.0 ** rng.uniform(-2, 4, (n, 1))
+            prices = scale * np.exp(np.cumsum(rng.standard_normal((n, days)) * 0.04, axis=1))
+            frame = SimpleNamespace(prices=prices, day_count=days, n_assets=n,
+                                    dates=tuple(f"d{t}" for t in range(days)))
+            indices = tuple(range(int(rng.integers(1, days)), days + 1, eta))
+            weights = rng.dirichlet(np.ones(n), size=(draws, len(indices)))
+            weights[0, 0] = np.eye(n)[int(rng.integers(n))]  # a vertex
+            values, dates = portfolio_value_series(schedule(indices, weights), frame)
+            assert values.shape == (draws, days - indices[0] + 1)
+            assert dates == frame.dates[indices[0] - 1:]
+            for row, w in zip(values, weights):
+                alone = schedule(indices, w)
+                assert np.array_equal(row, per_day_value_series(alone, frame)), trial
+                assert np.array_equal(row, portfolio_value_series(alone, frame)[0]), trial
+
     def test_out_of_range_schedule(self):
         frame = make_frame(np.full((2, 5), 2.0))
         with pytest.raises(ValidationError, match="frame has 5"):
@@ -146,6 +181,43 @@ class TestAnnualizedMetrics:
         zero = annualized_metrics(values, r_f=0.0)
         positive = annualized_metrics(values, r_f=0.0252)
         assert positive.annual_sharpe < zero.annual_sharpe
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_values(self, bad):
+        with pytest.raises(ValidationError, match="^value series must stay positive and finite"):
+            annualized_metrics([1.0, bad, 1.1])
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_rejects_other_than_one_series(self, shape):
+        with pytest.raises(ValidationError, match="must be 1-D"):
+            annualized_metrics(np.ones(shape))
+
+    def test_figures_are_python_floats(self):
+        m = annualized_metrics([1.0, 1.01, 0.99, 1.02])
+        assert type(m.annual_return) is float and type(m.annual_sharpe) is float
+        assert type(m.degenerate) is bool
+
+    @pytest.mark.parametrize("r_f", [0.0, 0.03, -0.01])
+    def test_stacked_rows_equal_each_row_alone(self, r_f):
+        rng = np.random.default_rng(4)
+        for days in (2, 3, 9, 40, 241):
+            values = np.cumprod(1.0 + rng.standard_normal((12, days)) * 0.02, axis=1)
+            values[3] = 1.0  # constant: degenerate
+            values[7] = np.cumprod(np.full(days, 1.001))  # constant daily return: degenerate
+            annual_return, annual_sharpe, degenerate = backtest._annualize(values, r_f)
+            for j, row in enumerate(values):
+                alone = annualized_metrics(row, r_f)
+                assert (annual_return[j], annual_sharpe[j], degenerate[j]) == (
+                    alone.annual_return, alone.annual_sharpe, alone.degenerate), (days, j)
+            assert degenerate[[3, 7]].all() and (annual_sharpe[[3, 7]] == 0.0).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_stack_names_the_first_invalid_member(self):
+        values = np.ones((6, 5))
+        values[4, 2], values[2, 1] = np.inf, np.nan
+        with pytest.raises(ValidationError, match="^member 2: value series must stay positive"):
+            backtest._annualize(values, 0.0)
 
 
 class TestMeanStrategy:
@@ -288,6 +360,37 @@ class TestRunExperiment:
         paths = simulate_paths(bundle, test_frame, 1, seed=1)
         schedules = strategy_from_paths(paths, test_frame, eta=4, h=8, f=4)
         assert np.array_equal(result.schedule.weights, schedules[0].weights)
+
+    def test_scatter_and_strategy_scored_as_each_alone(self, trained):
+        bundle, test_frame = trained
+        result = run_experiment(bundle, test_frame, eta=4, n_draws=6, seed=2, r_f=0.01)
+        paths = simulate_paths(bundle, test_frame, 6, seed=2)
+        draws = strategy_from_paths(paths, test_frame, eta=4, r_f=0.01, h=8, f=4)
+        for point, draw in zip(result.draw_scatter, draws):
+            alone = annualized_metrics(per_day_value_series(draw, test_frame), r_f=0.01)
+            assert point.tolist() == [alone.annual_return, alone.annual_sharpe]
+        assert np.array_equal(result.value_series,
+                              per_day_value_series(result.schedule, test_frame))
+        alone = annualized_metrics(result.value_series, r_f=0.01)
+        assert (result.annual_return, result.annual_sharpe, result.sharpe_degenerate) == (
+            alone.annual_return, alone.annual_sharpe, alone.degenerate)
+
+    def test_one_value_series_walk_whatever_the_draw_count(self, trained, monkeypatch):
+        bundle, test_frame = trained
+        walked = []
+
+        def counting(schedule, frame):
+            walked.append(schedule.weights.shape[0])  # members of the stack
+            return portfolio_value_series(schedule, frame)
+
+        monkeypatch.setattr(backtest, "portfolio_value_series", counting)
+        for n_draws in (1, 7, 50):
+            walked.clear()
+            run_experiment(bundle, test_frame, eta=4, n_draws=n_draws, seed=1)
+            assert walked == [n_draws + 1]  # every draw and the mean strategy
+        walked.clear()
+        run_experiment("markowitz", test_frame, eta=4, h=8)
+        assert walked == [1]
 
     def test_deterministic_per_seed(self, trained):
         bundle, test_frame = trained

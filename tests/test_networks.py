@@ -191,6 +191,26 @@ class TestAdam:
             theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             assert current[0][0] == pytest.approx(theta, rel=1e-12)
 
+    def test_unit_bias_corrections_match_scalar_recurrence_bit_for_bit(self):
+        # at beta 0.5 both corrections round to exactly 1.0 from step 54 on,
+        # where the update skips its divisions by them
+        lr, b1, b2, eps = 0.01, 0.5, 0.5, 1e-8
+        rng = np.random.default_rng(11)
+        start = rng.standard_normal(5)
+        state = AdamState.for_parameters([start], lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        current = [start]
+        theta, m, v = [float(x) for x in start], [0.0] * 5, [0.0] * 5
+        for t in range(1, 61):
+            g = rng.standard_normal(5) * 10.0 ** rng.integers(-3, 3, 5)
+            current = adam(current, [g], state)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, gi in enumerate(g.tolist()):
+                m[i] = m[i] * b1 + gi * (1.0 - b1)
+                v[i] = v[i] * b2 + gi * gi * (1.0 - b2)
+                theta[i] -= m[i] / c1 / (math.sqrt(v[i] / c2) + eps) * lr
+            assert current[0].tolist() == theta, t
+        assert 1.0 - b1 ** 54 == 1.0 and 1.0 - b1 ** 53 != 1.0
+
     def test_non_finite_gradient_aborts(self):
         params = [np.ones(2)]
         state = adam_state(params)
