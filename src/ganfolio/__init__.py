@@ -51,11 +51,9 @@ from .portfolio import (
 )
 from .backtest import (
     REBALANCE_SETTINGS,
-    AnnualizedMetrics,
     BacktestResult,
     WeightSchedule,
     annualized_metrics,
-    mean_strategy,
     portfolio_value_series,
     rebalance_days,
     run_experiment,
@@ -105,11 +103,9 @@ __all__ = [
     "min_variance_weights",
     "project_to_simplex",
     "REBALANCE_SETTINGS",
-    "AnnualizedMetrics",
     "BacktestResult",
     "WeightSchedule",
     "annualized_metrics",
-    "mean_strategy",
     "portfolio_value_series",
     "rebalance_days",
     "run_experiment",

@@ -60,13 +60,6 @@ class WeightSchedule:
 
 
 @dataclass(frozen=True)
-class AnnualizedMetrics:
-    annual_return: float
-    annual_sharpe: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class BacktestResult:
     """Value series from the first rebalance date plus summary metrics."""
 
@@ -154,19 +147,6 @@ def _covering_block_span(t: int, eta: int, h: int, f: int, k: int) -> tuple[int,
     return start, min(stop, k)
 
 
-def mean_strategy(schedules) -> WeightSchedule:
-    """Per-date arithmetic mean of the draws' weight vectors."""
-    schedules = list(schedules)
-    if not schedules:
-        raise ValidationError("no schedules to average")
-    indices = schedules[0].rebalance_indices
-    for s in schedules[1:]:
-        if s.rebalance_indices != indices:
-            raise ValidationError("schedules disagree on rebalance dates")
-    stacked = np.stack([s.weights for s in schedules])
-    return WeightSchedule(indices, stacked.mean(axis=0))
-
-
 def portfolio_value_series(schedule: WeightSchedule, frame: PriceFrame) -> tuple[np.ndarray, tuple[str, ...]]:
     """Daily portfolio values from the first rebalance date, starting at 1.
 
@@ -198,27 +178,17 @@ def portfolio_value_series(schedule: WeightSchedule, frame: PriceFrame) -> tuple
     return values.reshape(schedule.weights.shape[:-2] + values.shape[1:]), frame.dates[first - 1:]
 
 
-def annualized_metrics(value_series, r_f: float = 0.0) -> AnnualizedMetrics:
-    """Annualized return and Sharpe ratio of a daily value series.
+def annualized_metrics(values, r_f: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Annual return, annual Sharpe ratio and degenerate flag of each daily
+    value series along the last axis of ``values``.
 
     Uses population std of daily returns; a (near-)zero std yields Sharpe 0
-    with the degenerate flag set instead of a division blow-up.
+    with the degenerate flag set instead of a division blow-up.  Each row's
+    daily returns are contiguous, so its mean and std are the same
+    reductions, bit for bit, as those of the row alone.
     """
-    values = np.asarray(value_series, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValidationError(f"value series must be 1-D, got shape {values.shape}")
-    annual_return, annual_sharpe, degenerate = _annualize(values, r_f)
-    return AnnualizedMetrics(float(annual_return), float(annual_sharpe), bool(degenerate))
-
-
-def _annualize(values: np.ndarray, r_f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Annual return, annual Sharpe ratio and degenerate flag of each value
-    series along the last axis of ``values``.
-
-    Each row's daily returns are contiguous, so its mean and std are the
-    same reductions, bit for bit, as those of the row alone.
-    """
-    if values.shape[-1] < 2:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0 or values.shape[-1] < 2:
         raise ValidationError("value series needs at least 2 points")
     invalid = ~(np.isfinite(values) & (values > 0)).all(axis=-1)
     if invalid.any():
@@ -256,20 +226,21 @@ def run_experiment(model, test_frame: PriceFrame, eta: int, n_draws: int = 1000,
             raise ValidationError(f"unknown model {model!r}")
         if h is None:
             raise ValidationError("markowitz baseline needs the trailing window length h")
-        draws = []
         schedule = markowitz_schedule(test_frame, eta, h, r_f)
+        draws = np.empty((0, *schedule.weights.shape))
     else:
         from .gan import simulate_paths  # deferred: backtest does not need GAN machinery otherwise
 
         paths = simulate_paths(model, test_frame, n_draws, seed)
-        draws = strategy_from_paths(paths, test_frame, eta, r_f,
-                                    h=model.config.h, f=model.config.f)
-        schedule = mean_strategy(draws)
+        schedules = strategy_from_paths(paths, test_frame, eta, r_f,
+                                        h=model.config.h, f=model.config.f)
+        draws = np.stack([s.weights for s in schedules])
+        schedule = WeightSchedule(schedules[0].rebalance_indices, draws.mean(axis=0))
     # every draw and then the strategy itself, applied to the real test prices as one stack
     stack = WeightSchedule(schedule.rebalance_indices,
-                           np.stack([s.weights for s in (*draws, schedule)]))
+                           np.concatenate([draws, schedule.weights[None]]))
     values, dates = portfolio_value_series(stack, test_frame)
-    annual_return, annual_sharpe, degenerate = _annualize(values, r_f)
-    scatter = np.column_stack([annual_return[:-1], annual_sharpe[:-1]]) if draws else None
+    annual_return, annual_sharpe, degenerate = annualized_metrics(values, r_f)
+    scatter = np.column_stack([annual_return[:-1], annual_sharpe[:-1]]) if len(draws) else None
     return BacktestResult(values[-1], dates, float(annual_return[-1]), float(annual_sharpe[-1]),
                           bool(degenerate[-1]), schedule, scatter)

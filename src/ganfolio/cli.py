@@ -149,11 +149,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    out = _require_out(config)
     if not config.bundle:
         raise ValidationError("simulate needs bundle= (path to a trained archive)")
     bundle = load_bundle(config.bundle)
     _, _, test_frame = _load_frames(config)
+    out = _require_out(config)
     paths = simulate_paths(bundle, test_frame, config.n_draws, config.seed)
     # .npy + JSON sidecar rather than .npz: zip archives embed timestamps,
     # which would break byte-identical re-runs
@@ -171,9 +171,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_backtest(args) -> int:
     config = _config_from_args(args)
-    out = _require_out(config)
     _, _, test_frame = _load_frames(config)
-    results = {}
+    bundle, h = None, config.h
     if config.model != "markowitz":
         if not config.bundle:
             raise ValidationError("backtest needs bundle= for GAN models "
@@ -183,12 +182,13 @@ def _cmd_backtest(args) -> int:
             raise ValidationError(
                 "bundle was trained with the eavesdrop regime; re-run with "
                 "--allow-forward-bias to backtest this forward-biased diagnostic")
+        h = bundle.config.h
+    out = _require_out(config)
+    results = {}
+    if bundle is not None:
         results[config.model] = run_experiment(bundle, test_frame, config.eta,
                                                n_draws=config.n_draws, seed=config.seed,
                                                r_f=config.r_f)
-        h = bundle.config.h
-    else:
-        h = config.h
     results["markowitz"] = run_experiment("markowitz", test_frame, config.eta,
                                           r_f=config.r_f, h=h)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericFault, ValidationError
 from .marketdata import (PriceFrame, WindowSample, extract_window,
                          inference_index_set, training_index_set)
-from .networks import (ADAM_EPSILON, AdamState, AdamWorkers, MlpNetwork, adam_step, backward,
+from .networks import (AdamState, AdamWorkers, MlpNetwork, adam_step, backward,
                        build_network, forward, init_parameters, load_networks,
                        parameter_gradients, sample_dropout_masks, save_networks,
                        tangent_forward, train_forward)
@@ -223,8 +223,7 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
     proposer = build_network("proposer", train_frame.n_assets, config.h, config.f, config.m)
     init_parameters(proposer, _rng(config.seed, "init", "proposer"))
     state = AdamState.for_parameters(proposer.parameters(), lr=config.lr,
-                                     beta1=config.beta1, beta2=config.beta2,
-                                     epsilon=ADAM_EPSILON)
+                                     beta1=config.beta1, beta2=config.beta2)
     shuffle_rng = _rng(config.seed, "proposer_shuffle")
     dropout_rng = _rng(config.seed, "dropout", "proposer")
 
@@ -468,8 +467,7 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
 
     nets = _trainable_nets(bundle)
     optim = {name: AdamState.for_parameters(net.parameters(), lr=config.lr,
-                                            beta1=config.beta1, beta2=config.beta2,
-                                            epsilon=ADAM_EPSILON)
+                                            beta1=config.beta1, beta2=config.beta2)
              for name, net in nets.items()}
     rngs = {
         "conditioner": _rng(config.seed, "dropout", "conditioner"),

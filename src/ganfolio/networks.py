@@ -388,18 +388,16 @@ class AdamState:
     lr: float
     beta1: float
     beta2: float
-    epsilon: float
     shapes: list[tuple[int, ...]]
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
 
     @classmethod
-    def for_parameters(cls, params, lr: float, beta1: float, beta2: float,
-                       epsilon: float) -> "AdamState":
+    def for_parameters(cls, params, lr: float, beta1: float, beta2: float) -> "AdamState":
         shapes = [np.shape(p) for p in params]
         size = sum(math.prod(shape) for shape in shapes)
-        return cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, shapes=shapes,
+        return cls(lr=lr, beta1=beta1, beta2=beta2, shapes=shapes,
                    first_moment=np.zeros(size), second_moment=np.zeros(size))
 
 
@@ -454,7 +452,7 @@ class AdamUpdate:
         else:
             np.divide(v, self.c2, out=s1)
             np.sqrt(s1, out=s1)
-        s1 += state.epsilon
+        s1 += ADAM_EPSILON
         if self.c1 == 1.0:
             np.divide(m, s1, out=s2)
         else:

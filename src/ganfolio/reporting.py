@@ -192,13 +192,12 @@ def _scale(v, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(v, dtype=np.float64) - lo) * (out_hi - out_lo) / span
 
 
-def svg_line_chart(path, series: dict[str, np.ndarray], title: str,
-                   x_label: str = "trading day", y_label: str = "value") -> None:
+def svg_line_chart(path, series: dict[str, np.ndarray], title: str) -> None:
     left, right, top, bottom = _MARGIN, _W - _MARGIN, 40, _H - _MARGIN
     all_values = np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()])
     n = max(len(v) for v in series.values())
     lo, hi = float(all_values.min()), float(all_values.max())
-    parts = _svg_header(title) + _axes(x_label, y_label, (0, n - 1), (lo, hi))
+    parts = _svg_header(title) + _axes("trading day", "value", (0, n - 1), (lo, hi))
     for i, (name, values) in enumerate(series.items()):
         values = np.asarray(values, dtype=np.float64)
         xs = _scale(np.arange(len(values)), 0, n - 1, left, right)
@@ -212,14 +211,14 @@ def svg_line_chart(path, series: dict[str, np.ndarray], title: str,
     Path(path).write_text("\n".join(parts))
 
 
-def svg_scatter(path, points: np.ndarray, title: str,
-                x_label: str = "annual return", y_label: str = "annual Sharpe ratio") -> None:
+def svg_scatter(path, points: np.ndarray, title: str) -> None:
     """One circle mark per row of ``points`` (n, 2)."""
     left, right, top, bottom = _MARGIN, _W - _MARGIN, 40, _H - _MARGIN
     points = np.asarray(points, dtype=np.float64)
     x_lo, x_hi = float(points[:, 0].min()), float(points[:, 0].max())
     y_lo, y_hi = float(points[:, 1].min()), float(points[:, 1].max())
-    parts = _svg_header(title) + _axes(x_label, y_label, (x_lo, x_hi), (y_lo, y_hi))
+    parts = _svg_header(title) + _axes("annual return", "annual Sharpe ratio",
+                                       (x_lo, x_hi), (y_lo, y_hi))
     xs = _scale(points[:, 0], x_lo, x_hi, left, right)
     ys = _scale(points[:, 1], y_lo, y_hi, bottom, top)
     for x, y in zip(xs, ys):

@@ -9,7 +9,7 @@ import pytest
 import ganfolio
 from ganfolio.gan import TrainConfig, train
 from ganfolio.marketdata import PriceFrame
-from ganfolio.networks import ADAM_EPSILON, AdamState
+from ganfolio.networks import AdamState
 
 from oracles import mean_proposer
 
@@ -48,8 +48,7 @@ def run_python(*args, cwd=None, **env):
 
 def adam_state(params, config=TrainConfig(), **overrides):
     """An AdamState with ``config``'s hyperparameters, as ``train`` builds one."""
-    hyper = dict(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                 epsilon=ADAM_EPSILON)
+    hyper = dict(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     return AdamState.for_parameters(params, **{**hyper, **overrides})
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from ganfolio import backtest
 from ganfolio.backtest import (REBALANCE_SETTINGS, WeightSchedule, annualized_metrics,
-                               markowitz_schedule, mean_strategy, portfolio_value_series,
-                               rebalance_days, run_experiment, strategy_from_paths)
+                               markowitz_schedule, portfolio_value_series, rebalance_days,
+                               run_experiment, strategy_from_paths)
 from ganfolio.errors import ValidationError
 from ganfolio.gan import TrainConfig, simulate_paths, train
 from ganfolio.marketdata import simple_returns
@@ -157,30 +157,30 @@ def _split_blocks_at_implied(coarse, frame, step):
 
 class TestAnnualizedMetrics:
     def test_constant_series_degenerate(self):
-        m = annualized_metrics(np.ones(10))
-        assert m.annual_return == 0.0 and m.annual_sharpe == 0.0 and m.degenerate
+        annual_return, annual_sharpe, degenerate = annualized_metrics(np.ones(10))
+        assert annual_return == 0.0 and annual_sharpe == 0.0 and degenerate
 
     def test_constant_daily_return_flagged(self):
         values = np.cumprod(np.full(50, 1.001))
-        m = annualized_metrics(values)
-        assert m.annual_return == pytest.approx(0.252, rel=1e-10)
-        assert m.degenerate and m.annual_sharpe == 0.0
+        annual_return, annual_sharpe, degenerate = annualized_metrics(values)
+        assert annual_return == pytest.approx(0.252, rel=1e-10)
+        assert degenerate and annual_sharpe == 0.0
 
     def test_alternating_returns_direct_oracle(self):
         daily = np.array([0.01, -0.01] * 30)
         values = np.concatenate([[1.0], np.cumprod(1.0 + daily)])
-        m = annualized_metrics(values)
+        annual_return, annual_sharpe, degenerate = annualized_metrics(values)
         mean, std = daily.mean(), daily.std()
-        assert m.annual_return == pytest.approx(mean * 252, rel=1e-12)
-        assert m.annual_sharpe == pytest.approx(mean / std * np.sqrt(252), rel=1e-12)
-        assert not m.degenerate
+        assert annual_return == pytest.approx(mean * 252, rel=1e-12)
+        assert annual_sharpe == pytest.approx(mean / std * np.sqrt(252), rel=1e-12)
+        assert not degenerate
 
     def test_risk_free_enters_numerator(self):
         values = np.cumprod(np.concatenate([[1.0], 1.0 + np.random.default_rng(0)
                                            .standard_normal(40) * 0.01]))
-        zero = annualized_metrics(values, r_f=0.0)
-        positive = annualized_metrics(values, r_f=0.0252)
-        assert positive.annual_sharpe < zero.annual_sharpe
+        _, zero, _ = annualized_metrics(values, r_f=0.0)
+        _, positive, _ = annualized_metrics(values, r_f=0.0252)
+        assert positive < zero
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -188,15 +188,10 @@ class TestAnnualizedMetrics:
         with pytest.raises(ValidationError, match="^value series must stay positive and finite"):
             annualized_metrics([1.0, bad, 1.1])
 
-    @pytest.mark.parametrize("shape", [(), (2, 3)])
-    def test_rejects_other_than_one_series(self, shape):
-        with pytest.raises(ValidationError, match="must be 1-D"):
+    @pytest.mark.parametrize("shape", [(), (1,), (4, 1)])
+    def test_rejects_fewer_than_two_points(self, shape):
+        with pytest.raises(ValidationError, match="at least 2 points"):
             annualized_metrics(np.ones(shape))
-
-    def test_figures_are_python_floats(self):
-        m = annualized_metrics([1.0, 1.01, 0.99, 1.02])
-        assert type(m.annual_return) is float and type(m.annual_sharpe) is float
-        assert type(m.degenerate) is bool
 
     @pytest.mark.parametrize("r_f", [0.0, 0.03, -0.01])
     def test_stacked_rows_equal_each_row_alone(self, r_f):
@@ -205,11 +200,11 @@ class TestAnnualizedMetrics:
             values = np.cumprod(1.0 + rng.standard_normal((12, days)) * 0.02, axis=1)
             values[3] = 1.0  # constant: degenerate
             values[7] = np.cumprod(np.full(days, 1.001))  # constant daily return: degenerate
-            annual_return, annual_sharpe, degenerate = backtest._annualize(values, r_f)
+            annual_return, annual_sharpe, degenerate = annualized_metrics(values, r_f)
+            assert annual_return.shape == annual_sharpe.shape == degenerate.shape == (12,)
             for j, row in enumerate(values):
                 alone = annualized_metrics(row, r_f)
-                assert (annual_return[j], annual_sharpe[j], degenerate[j]) == (
-                    alone.annual_return, alone.annual_sharpe, alone.degenerate), (days, j)
+                assert (annual_return[j], annual_sharpe[j], degenerate[j]) == alone, (days, j)
             assert degenerate[[3, 7]].all() and (annual_sharpe[[3, 7]] == 0.0).all()
 
     @pytest.mark.filterwarnings("error")
@@ -217,29 +212,7 @@ class TestAnnualizedMetrics:
         values = np.ones((6, 5))
         values[4, 2], values[2, 1] = np.inf, np.nan
         with pytest.raises(ValidationError, match="^member 2: value series must stay positive"):
-            backtest._annualize(values, 0.0)
-
-
-class TestMeanStrategy:
-    def test_two_point_average(self):
-        a = schedule([1], [[1.0, 0.0]])
-        b = schedule([1], [[0.0, 1.0]])
-        assert np.array_equal(mean_strategy([a, b]).weights, [[0.5, 0.5]])
-
-    def test_idempotent_on_identical(self):
-        s = schedule([1, 3], [[0.3, 0.7], [0.6, 0.4]])
-        out = mean_strategy([s] * 1000)
-        assert np.allclose(out.weights, s.weights, atol=1e-15)
-
-    def test_mean_on_simplex(self):
-        rng = np.random.default_rng(2)
-        schedules = [schedule([1, 5], rng.dirichlet(np.ones(4), size=2)) for _ in range(50)]
-        out = mean_strategy(schedules)
-        assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-12
-
-    def test_index_mismatch(self):
-        with pytest.raises(ValidationError, match="disagree"):
-            mean_strategy([schedule([1], [[1.0, 0.0]]), schedule([2], [[1.0, 0.0]])])
+            annualized_metrics(values)
 
 
 class TestStrategyFromPaths:
@@ -367,13 +340,31 @@ class TestRunExperiment:
         paths = simulate_paths(bundle, test_frame, 6, seed=2)
         draws = strategy_from_paths(paths, test_frame, eta=4, r_f=0.01, h=8, f=4)
         for point, draw in zip(result.draw_scatter, draws):
-            alone = annualized_metrics(per_day_value_series(draw, test_frame), r_f=0.01)
-            assert point.tolist() == [alone.annual_return, alone.annual_sharpe]
+            annual_return, annual_sharpe, _ = annualized_metrics(
+                per_day_value_series(draw, test_frame), r_f=0.01)
+            assert point.tolist() == [annual_return, annual_sharpe]
         assert np.array_equal(result.value_series,
                               per_day_value_series(result.schedule, test_frame))
         alone = annualized_metrics(result.value_series, r_f=0.01)
-        assert (result.annual_return, result.annual_sharpe, result.sharpe_degenerate) == (
-            alone.annual_return, alone.annual_sharpe, alone.degenerate)
+        assert (result.annual_return, result.annual_sharpe, result.sharpe_degenerate) == alone
+
+    @pytest.mark.parametrize("n_draws", [2, 7])
+    def test_strategy_is_the_per_date_mean_of_the_draws(self, trained, n_draws):
+        bundle, test_frame = trained
+        result = run_experiment(bundle, test_frame, eta=4, n_draws=n_draws, seed=3)
+        paths = simulate_paths(bundle, test_frame, n_draws, seed=3)
+        draws = strategy_from_paths(paths, test_frame, eta=4, h=8, f=4)
+        assert result.schedule.rebalance_indices == draws[0].rebalance_indices
+        # the draws summed in order, then divided by their count
+        mean = sum(draw.weights for draw in draws) / n_draws
+        assert result.schedule.weights.tobytes() == mean.tobytes()
+
+    def test_figures_are_python_floats(self, trained):
+        bundle, test_frame = trained
+        for result in (run_experiment(bundle, test_frame, eta=4, n_draws=3, seed=1),
+                       run_experiment("markowitz", test_frame, eta=4, h=8)):
+            assert type(result.annual_return) is float and type(result.annual_sharpe) is float
+            assert type(result.sharpe_degenerate) is bool
 
     def test_one_value_series_walk_whatever_the_draw_count(self, trained, monkeypatch):
         bundle, test_frame = trained

@@ -182,6 +182,31 @@ def run_dir(data_csv, trained_run, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def eavesdrop_run(data_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("eavesdrop")
+    assert main(["train", "--data", str(data_csv), "--split-date", SPLIT,
+                 "--model", "cgan", "--regime", "eavesdrop", "--allow-forward-bias",
+                 *TRAIN_FLAGS, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, case", [
+    ("simulate", "no_bundle"), ("simulate", "no_data"),
+    ("backtest", "no_bundle"), ("backtest", "no_data"), ("backtest", "eavesdrop")])
+def test_rejected_simulate_or_backtest_creates_no_out_directory(data_csv, trained_run,
+                                                               eavesdrop_run, tmp_path,
+                                                               command, case):
+    bundle = {"no_bundle": tmp_path / "nobundle.gfa",
+              "eavesdrop": eavesdrop_run / "bundle.gfa"}.get(case, trained_run / "bundle.gfa")
+    data = tmp_path / "nodata.csv" if case == "no_data" else data_csv
+    flags = ["--model", "cgan", "--eta", "4"] if command == "backtest" else []
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--split-date", SPLIT, "--bundle", str(bundle),
+                 "--n-draws", "2", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_paths_and_overlay(self, data_csv, trained_run, tmp_path):
         out = tmp_path / "sim"

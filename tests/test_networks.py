@@ -8,8 +8,8 @@ import pytest
 
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
-from ganfolio.networks import (ADAM_BLOCK, ROLES, AdamState, AdamWorkers, adam_step,
-                               build_network, forward, init_parameters, load_networks,
+from ganfolio.networks import (ADAM_BLOCK, ADAM_EPSILON, ROLES, AdamState, AdamWorkers,
+                               adam_step, build_network, forward, init_parameters, load_networks,
                                sample_dropout_masks, save_networks)
 
 from conftest import adam_state
@@ -175,13 +175,13 @@ class TestAdam:
         g = np.array([0.7])
         (new,) = adam(params, [g], state)
         v_hat = (1 - state.beta2) * 0.49 / (1 - state.beta2)
-        expected = 1.0 - 1e-3 * 0.7 / (np.sqrt(v_hat) + state.epsilon)
+        expected = 1.0 - 1e-3 * 0.7 / (np.sqrt(v_hat) + ADAM_EPSILON)
         assert new[0] == pytest.approx(expected, rel=1e-12)
 
     def test_hand_evaluated_recurrence(self):
         lr, b1, b2, eps = 0.01, 0.5, 0.999, 1e-8
         params = [np.array([2.0])]
-        state = AdamState.for_parameters(params, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        state = AdamState.for_parameters(params, lr=lr, beta1=b1, beta2=b2)
         theta, m, v = 2.0, 0.0, 0.0
         current = params
         for t, g in enumerate([0.3, -0.2, 0.9], start=1):
@@ -197,7 +197,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.01, 0.5, 0.5, 1e-8
         rng = np.random.default_rng(11)
         start = rng.standard_normal(5)
-        state = AdamState.for_parameters([start], lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        state = AdamState.for_parameters([start], lr=lr, beta1=b1, beta2=b2)
         current = [start]
         theta, m, v = [float(x) for x in start], [0.0] * 5, [0.0] * 5
         for t in range(1, 61):
@@ -240,7 +240,7 @@ class TestAdam:
         rng = np.random.default_rng(8)
         params = [rng.standard_normal(3), rng.standard_normal((2, ADAM_BLOCK // 2 + 1)),
                   rng.standard_normal((4, 5))]
-        state = AdamState.for_parameters(params, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+        state = AdamState.for_parameters(params, lr=lr, beta1=b1, beta2=b2)
         current = params
         theta = np.concatenate([p.ravel() for p in params]).tolist()
         m, v = [0.0] * len(theta), [0.0] * len(theta)
