@@ -22,7 +22,7 @@ price = 100.0 + 0.3 * t + rng.standard_normal(h + f)
 window = price[None, :]  # (1 asset, w days)
 
 standard = fit_standard(window[:, :h])
-eavesdrop = fit_eavesdrop(window, h=h, allow_forward_bias=True)
+eavesdrop = fit_eavesdrop(window, h=h)
 print(f"historical mean     : {standard.center[0]:10.4f}")
 print(f"whole-window mean   : {eavesdrop.center[0]:10.4f}  (eavesdropping peeks ahead)")
 print(f"shared 3-sigma scale: {standard.scale[0]:10.4f}")

@@ -7,8 +7,7 @@ tests define the network forward and the training losses
 ``tests/oracles.py``, check the kernels against them, and check the tape
 against finite differences.  The module stays in the package because the
 benchmark's trace table (``perfbench/tracing.py``) names
-``ganfolio.autodiff.gradient``, and ``demos/03_autodiff_double_backprop.py``
-walks through it.
+``ganfolio.autodiff.gradient``.
 
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array and,
 when gradients are being tracked, remembers the parent tensors it was computed

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", allow_abbrev=False,
                        help="draw synthetic paths from a trained bundle")
     _add_config_arguments(p, ("data", "tickers", "split_date", "bundle", "n_draws",
-                              "seed", "out"))
+                              "seed", "allow_forward_bias", "out"))
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("backtest", allow_abbrev=False,
@@ -115,6 +115,18 @@ def _load_frames(config: RunConfig):
     return frame, train_frame, test_frame
 
 
+def _load_bundle(config: RunConfig):
+    """The configured bundle; an eavesdrop one only with ``allow_forward_bias``."""
+    if not config.bundle:
+        raise ValidationError("no bundle configured (set bundle= or --bundle)")
+    bundle = load_bundle(config.bundle)
+    if bundle.config.resolved_regime == "eavesdrop" and not config.allow_forward_bias:
+        raise ValidationError(
+            "bundle was trained with the eavesdrop regime; re-run with "
+            "--allow-forward-bias to use this forward-biased diagnostic")
+    return bundle
+
+
 def _require_out(config: RunConfig) -> Path:
     if not config.out:
         raise ValidationError("no output directory configured (set out= or --out)")
@@ -149,9 +161,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    if not config.bundle:
-        raise ValidationError("simulate needs bundle= (path to a trained archive)")
-    bundle = load_bundle(config.bundle)
+    bundle = _load_bundle(config)
     _, _, test_frame = _load_frames(config)
     out = _require_out(config)
     paths = simulate_paths(bundle, test_frame, config.n_draws, config.seed)
@@ -174,14 +184,7 @@ def _cmd_backtest(args) -> int:
     _, _, test_frame = _load_frames(config)
     bundle, h = None, config.h
     if config.model != "markowitz":
-        if not config.bundle:
-            raise ValidationError("backtest needs bundle= for GAN models "
-                                  "(or model=markowitz for the baseline alone)")
-        bundle = load_bundle(config.bundle)
-        if bundle.config.resolved_regime == "eavesdrop" and not config.allow_forward_bias:
-            raise ValidationError(
-                "bundle was trained with the eavesdrop regime; re-run with "
-                "--allow-forward-bias to backtest this forward-biased diagnostic")
+        bundle = _load_bundle(config)
         h = bundle.config.h
     out = _require_out(config)
     results = {}

@@ -52,12 +52,10 @@ class RunConfig:
             raise ValidationError("h, f, m must be positive")
         if self.epochs < 1 or self.n_draws < 1 or self.eta < 1:
             raise ValidationError("epochs, n_draws, eta must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.r_f):
             raise ValidationError(f"r_f must be finite, got {self.r_f}")
-
-    @property
-    def w(self) -> int:
-        return self.h + self.f
 
     def ticker_list(self) -> list[str] | None:
         if not self.tickers:

@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValidationError(f"h, f, m must be positive, got {self.h}, {self.f}, {self.m}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         # nan and infinities fall outside every range
         for key, low, high in (("lambda1", 0.0, np.inf), ("lambda2", 0.0, np.inf),
                                ("beta1", 0.0, 1.0), ("beta2", 0.0, 1.0)):
@@ -228,8 +230,10 @@ def train_proposer(train_frame: PriceFrame, config: TrainConfig) -> tuple[MlpNet
     dropout_rng = _rng(config.seed, "dropout", "proposer")
 
     def validation_mse():
-        return float(np.mean([np.mean((forward(proposer, x) - target) ** 2)
-                              for x, target in val_samples]))
+        with np.errstate(over="ignore"):
+            return _require_finite(float(np.mean([np.mean((forward(proposer, x) - target) ** 2)
+                                                  for x, target in val_samples])),
+                                   "proposer held-out MSE")
 
     best_mse = np.inf
     best_params = None
@@ -296,7 +300,8 @@ def generator_gradients(bundle: ModelBundle, norm_window: WindowSample, z: np.nd
     if config.is_acgan:
         reconstruction, dec_cache = train_forward(bundle.decoder, code, masks.get("decoder", []))
         diff = reconstruction - norm_window.historical.reshape(1, -1)
-        ap = float(np.sum(diff * diff)) * (1.0 / diff.size)
+        with np.errstate(over="ignore"):
+            ap = float(np.sum(diff * diff)) * (1.0 / diff.size)
         loss = loss + ap * config.lambda2
     _require_finite(loss, "generator loss")
 
@@ -369,7 +374,8 @@ def mse_gradients(net: MlpNetwork, x: np.ndarray, target: np.ndarray,
     gradients (``net.gradients()``), for one sample with (1, width) masks."""
     out, cache = train_forward(net, np.reshape(x, (1, -1)), masks)
     diff = out - np.reshape(target, (1, -1))
-    loss = _require_finite(float(np.sum(diff * diff)) * (1.0 / diff.size), f"{net.role} MSE")
+    with np.errstate(over="ignore"):
+        loss = _require_finite(float(np.sum(diff * diff)) * (1.0 / diff.size), f"{net.role} MSE")
     deltas, _ = backward(net, cache, ((1.0 / diff.size) * diff) * 2.0)
     return loss, parameter_gradients(deltas, cache.inputs, net.gradients())
 
@@ -431,7 +437,7 @@ def window_stats(bundle: ModelBundle, window: WindowSample) -> NormStats:
     if regime == "standard":
         return fit_standard(window.historical)
     if regime == "eavesdrop":
-        return fit_eavesdrop(window.full, bundle.config.h, allow_forward_bias=True)
+        return fit_eavesdrop(window.full, bundle.config.h)
     base = fit_standard(window.historical)
     proposed = forward(bundle.proposer, _proposer_input(window.historical, base, base.center))
     return make_hybrid_stats(base.scale, proposed)

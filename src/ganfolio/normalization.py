@@ -5,7 +5,9 @@ only in where the center comes from:
 
 * ``standard``  - center is the mean of the historical segment;
 * ``eavesdrop`` - center is the mean of the whole window, future included
-  (a forward-biased diagnostic, gated behind an explicit flag);
+  (a forward-biased diagnostic: ``TrainConfig`` refuses it unless
+  ``allow_forward_bias`` is set, and ``ganfolio simulate`` and ``backtest``
+  refuse an eavesdrop bundle without ``--allow-forward-bias``);
 * ``hybrid``    - center is a surrogate mean proposed by a trained network.
 
 The scale is always 3x the population standard deviation of the historical
@@ -62,17 +64,12 @@ def fit_standard(historical) -> NormStats:
     return NormStats(center=center, scale=scale)
 
 
-def fit_eavesdrop(full, h: int, allow_forward_bias: bool = False) -> NormStats:
+def fit_eavesdrop(full, h: int) -> NormStats:
     """Center on the whole-window mean (future included), historical scale.
 
-    Uses data that is unknowable at decision time; callers must pass
-    ``allow_forward_bias=True`` to acknowledge this is a diagnostic, not a
+    Uses data that is unknowable at decision time: a diagnostic, not a
     tradable strategy.
     """
-    if not allow_forward_bias:
-        raise ValidationError(
-            "eavesdrop normalization looks at future data; pass allow_forward_bias=True "
-            "(CLI: --allow-forward-bias) to run it as a diagnostic")
     x = np.asarray(full, dtype=np.float64)
     w = x.shape[-1]
     if w < 2:

@@ -176,7 +176,7 @@ class TestNormalizationAcceptance:
         x = 1.0 + rng.random((10_000, w)) * 200.0
         worst = 0.0
         standard = fit_standard(x[:, :h])
-        eavesdrop = fit_eavesdrop(x, h=h, allow_forward_bias=True)
+        eavesdrop = fit_eavesdrop(x, h=h)
         hybrid = make_hybrid_stats(standard.scale,
                                    standard.center + rng.standard_normal(10_000))
         for stats in (standard, eavesdrop, hybrid):
@@ -398,7 +398,7 @@ class TestProtocolConstants:
         assert (t.lr, t.beta1, t.beta2) == (2e-5, 0.5, 0.999)
 
         r = RunConfig()
-        assert (r.h, r.f, r.w, r.m) == (40, 20, 60, 100)
+        assert (r.h, r.f, r.m) == (40, 20, 100)
         assert r.epochs == 1000 and r.n_draws == 1000
         assert (r.lambda1, r.lambda2) == (10.0, 3.0)
         assert (r.lr, r.beta1, r.beta2) == (2e-5, 0.5, 0.999)

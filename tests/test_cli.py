@@ -75,7 +75,7 @@ class TestConfigFile:
 
     def test_protocol_defaults(self):
         config = RunConfig()
-        assert (config.h, config.f, config.w, config.m) == (40, 20, 60, 100)
+        assert (config.h, config.f, config.m) == (40, 20, 100)
         assert config.epochs == 1000 and config.n_draws == 1000
         assert (config.lambda1, config.lambda2) == (10.0, 3.0)
         assert (config.lr, config.beta1, config.beta2) == (2e-5, 0.5, 0.999)
@@ -192,7 +192,7 @@ def eavesdrop_run(data_csv, tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, case", [
-    ("simulate", "no_bundle"), ("simulate", "no_data"),
+    ("simulate", "no_bundle"), ("simulate", "no_data"), ("simulate", "eavesdrop"),
     ("backtest", "no_bundle"), ("backtest", "no_data"), ("backtest", "eavesdrop")])
 def test_rejected_simulate_or_backtest_creates_no_out_directory(data_csv, trained_run,
                                                                eavesdrop_run, tmp_path,
@@ -204,6 +204,19 @@ def test_rejected_simulate_or_backtest_creates_no_out_directory(data_csv, traine
     out = tmp_path / "out"
     assert main([command, "--data", str(data), "--split-date", SPLIT, "--bundle", str(bundle),
                  "--n-draws", "2", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "backtest"])
+def test_negative_seed_exit_2_names_seed(data_csv, trained_run, tmp_path, capsys, command):
+    flags = {"train": TRAIN_FLAGS[:-2],
+             "simulate": ["--bundle", str(trained_run / "bundle.gfa"), "--n-draws", "2"],
+             "backtest": ["--model", "cgan", "--bundle", str(trained_run / "bundle.gfa"),
+                          "--eta", "4", "--n-draws", "2"]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data_csv), "--split-date", SPLIT, *flags,
+                 "--seed", "-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
     assert not out.exists()
 
 
@@ -305,10 +318,11 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("lr", -1.0, "lr must be positive and finite, got -1.0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
         ("model_kind", "acgan", "acgan bundle needs a decoder")])
     def test_rejected_bundle_config_names_the_bundle(self, data_csv, trained_run, tmp_path,
                                                      capsys, key, value, message):
-        # the first is TrainConfig's check, the second ModelBundle's
+        # the first two are TrainConfig's checks, the last ModelBundle's
         bundle = tmp_path / "rejected.gfa"
         components, meta = load_networks(trained_run / "bundle.gfa")
         meta["config"][key] = value
@@ -487,6 +501,12 @@ class TestEavesdropGating:
                      "--eta", "4", "--n-draws", "2", "--allow-forward-bias",
                      "--out", str(tmp_path / "bt2")])
         assert code == 0
+
+    def test_simulate_runs_eavesdrop_bundle_with_flag(self, data_csv, eavesdrop_run, tmp_path):
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT,
+                     "--bundle", str(eavesdrop_run / "bundle.gfa"), "--n-draws", "2",
+                     "--allow-forward-bias", "--out", str(tmp_path / "sim")]) == 0
+        assert (tmp_path / "sim" / "paths.npy").exists()
 
     def test_rerun_from_effective_config_reproduces(self, data_csv, run_dir, tmp_path):
         # the emitted config.effective alone reproduces the run (bar the out path)

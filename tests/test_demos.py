@@ -1,9 +1,11 @@
 """The demos that run in about a second exit 0 with nothing on stderr.
 
 Demos 04 and 06 train models for 10-20 s each, so they are left to be run
-by hand.
+by hand; every demo's imports from the package are checked here instead.
 """
 
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,15 @@ def test_demo_runs_clean(name, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert list(tmpdir.iterdir()) == []  # temporary files are removed
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda path: path.stem)
+def test_demo_imports_resolve(path):
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("ganfolio")
+                for alias in node.names]
+    assert imported, f"{path.name} imports nothing from ganfolio"
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"{path.name} imports names the package lacks: {missing}"

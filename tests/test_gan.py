@@ -361,6 +361,16 @@ class TestTrain:
                                                    r"window start \d+: proposer: layer \d+"):
                 train(tiny_frame, config)
 
+    def test_proposer_loss_overflow_names_epoch_and_window(self, tiny_frame):
+        # at lr 1e100 the proposer's output stays finite and its squared error overflows
+        config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0, lr=1e100, **TINY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFault, match=r"proposer training diverged at epoch 1, "
+                                                   r"window start \d+: proposer MSE is not "
+                                                   r"finite \(inf\)"):
+                train_proposer(tiny_frame, config)
+
     def test_adam_overflow_names_epoch_window_role_and_index(self, tiny_frame, monkeypatch):
         # a finite gradient above about 1.3e154 overflows its square in Adam
         config = TrainConfig(model_kind="hybrid_acgan", epochs=2, seed=0, lr=1e8, **TINY)

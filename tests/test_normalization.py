@@ -41,18 +41,14 @@ class TestFitEavesdrop:
     def test_center_is_whole_window_mean(self):
         # historical mean 10, whole-window mean 12
         series = np.array([8.0, 12.0, 14.0, 14.0])
-        stats = fit_eavesdrop(series, h=2, allow_forward_bias=True)
+        stats = fit_eavesdrop(series, h=2)
         assert stats.center == 12.0
         assert stats.scale == fit_standard(series[:2]).scale
 
     def test_constant_series(self):
-        stats = fit_eavesdrop(np.full(6, 7.0), h=3, allow_forward_bias=True)
+        stats = fit_eavesdrop(np.full(6, 7.0), h=3)
         assert stats.center == 7.0
         assert stats.scale == pytest.approx(1e-8 * 7.0)
-
-    def test_flag_required(self):
-        with pytest.raises(ValidationError, match="allow.forward.bias"):
-            fit_eavesdrop(np.array([1.0, 2.0, 3.0]), h=2)
 
 
 class TestNormalizeDenormalize:
@@ -78,7 +74,7 @@ class TestNormalizeDenormalize:
             if regime == "standard":
                 stats = fit_standard(x[:, :8])
             elif regime == "eavesdrop":
-                stats = fit_eavesdrop(x, h=8, allow_forward_bias=True)
+                stats = fit_eavesdrop(x, h=8)
             else:
                 base = fit_standard(x[:, :8])
                 stats = make_hybrid_stats(base.scale, base.center + rng.standard_normal(3))
@@ -117,7 +113,7 @@ class TestHybridStats:
     def test_reduces_to_eavesdrop(self):
         rng = np.random.default_rng(6)
         x = 10.0 + rng.random((2, 12))
-        eav = fit_eavesdrop(x, h=8, allow_forward_bias=True)
+        eav = fit_eavesdrop(x, h=8)
         hybrid = make_hybrid_stats(fit_standard(x[:, :8]).scale, x.mean(axis=-1))
         assert np.array_equal(normalize(x, hybrid), normalize(x, eav))
 
