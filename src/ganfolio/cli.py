@@ -128,11 +128,11 @@ def _load_bundle(config: RunConfig):
 
 
 def _require_out(config: RunConfig) -> Path:
+    """The configured output directory, which the command creates only when it
+    writes its first artifact, so a rejected or failed run leaves none."""
     if not config.out:
         raise ValidationError("no output directory configured (set out= or --out)")
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(config.out)
 
 
 def _cmd_ingest(args) -> int:
@@ -151,6 +151,7 @@ def _cmd_train(args) -> int:
         raise ValidationError("training needs split_date= so a training segment exists")
     out = _require_out(config)
     bundle = train(train_frame, train_config)
+    out.mkdir(parents=True, exist_ok=True)
     save_bundle(out / "bundle.gfa", bundle)
     write_training_log_csv(out / "training_log.csv", bundle.training_log)
     write_effective_config(config, out / "config.effective")
@@ -165,6 +166,7 @@ def _cmd_simulate(args) -> int:
     _, _, test_frame = _load_frames(config)
     out = _require_out(config)
     paths = simulate_paths(bundle, test_frame, config.n_draws, config.seed)
+    out.mkdir(parents=True, exist_ok=True)
     # .npy + JSON sidecar rather than .npz: zip archives embed timestamps,
     # which would break byte-identical re-runs
     np.save(out / "paths.npy", paths)
@@ -195,6 +197,7 @@ def _cmd_backtest(args) -> int:
     results["markowitz"] = run_experiment("markowitz", test_frame, config.eta,
                                           r_f=config.r_f, h=h)
 
+    out.mkdir(parents=True, exist_ok=True)
     write_value_series_csv(out / "value_series.csv",
                            next(iter(results.values())).dates,
                            {name: r.value_series for name, r in results.items()})

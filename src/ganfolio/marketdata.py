@@ -91,7 +91,8 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
         CSV file with header ``date,<ticker1>,...,<tickerN>``.
     expected_tickers:
         Optional list of tickers; columns are selected and ordered to match.
-        Requesting a ticker absent from the file is an error.
+        Requesting a ticker absent from the file, or one ticker twice, is an
+        error.
     """
     path = Path(path)
     if not path.exists():
@@ -138,6 +139,9 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
     tickers = list(file_tickers)
     if expected_tickers is not None:
         expected = list(expected_tickers)
+        repeated = [t for i, t in enumerate(expected) if t in expected[:i]]
+        if repeated:
+            raise ValidationError(f"{path}: ticker {repeated[0]!r} requested more than once")
         missing = [t for t in expected if t not in file_tickers]
         if missing:
             raise ValidationError(

@@ -27,7 +27,8 @@ import math
 import os
 import sys
 import threading
-from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -410,17 +411,15 @@ ADAM_EPSILON = 1e-8
 
 
 class AdamUpdate:
-    """One queued Adam step of a flat buffer: its operands, its step's bias
-    corrections, the blocks still to run and the faults its blocks found."""
+    """One submitted Adam step of a flat buffer: its operands, its step's bias
+    corrections, and one future per block that resolves to the block's fault."""
 
     def __init__(self, params: np.ndarray, grads: np.ndarray, state: AdamState,
                  name: str | None):
         self.params, self.grads, self.state, self.name = params, grads, state, name
         self.c1 = 1.0 - state.beta1 ** state.step_count
         self.c2 = 1.0 - state.beta2 ** state.step_count
-        self.remaining = -(-params.size // ADAM_BLOCK)
-        self.faults: list[tuple[int, int]] = []
-        self.error: BaseException | None = None  # an exception a block raised
+        self.blocks: list[Future] = []
 
     def run_block(self, lo: int, rows: np.ndarray, finite: np.ndarray):
         """Update the block at ``lo`` with a thread's scratch; return
@@ -464,10 +463,12 @@ class AdamUpdate:
 
     def fault(self) -> NumericFault | None:
         """The fault at the lowest parameter array, a non-finite gradient
-        before an overflow, or None."""
-        if not self.faults:
+        before an overflow, or None, once every block is done.  Raises the
+        exception a block raised instead, if one did."""
+        faults = [fault for block in self.blocks if (fault := block.result()) is not None]
+        if not faults:
             return None
-        overflow, offset = min(self.faults)
+        overflow, offset = min(faults)
         shapes = self.state.shapes
         i = int(np.searchsorted(np.cumsum([math.prod(shape) for shape in shapes]), offset,
                                 side="right"))
@@ -480,34 +481,29 @@ class AdamUpdate:
 
 
 class AdamWorkers:
-    """A queue of Adam blocks, and the threads that drain it.
+    """Adam blocks on a thread pool.
 
-    :meth:`submit` queues one step's blocks and returns at once; one
-    background thread per usable CPU beyond the first runs queued blocks, and
-    a caller in :meth:`wait` runs them too until what it waits for is done.
-    Each thread keeps its own block-sized scratch rows.  Use it as a context
-    manager: leaving it waits for every queued update and joins the threads.
+    :meth:`submit` gives each block of one step its own future and returns at
+    once.  A pool of one thread per usable CPU beyond the first runs the
+    blocks; a caller in :meth:`wait` runs every block no pool thread has
+    started (one whose ``cancel()`` succeeds) and then waits for the rest, so
+    the waiter still makes progress while every pool thread is busy.  On one
+    CPU there is no pool, and every block runs in :meth:`wait`.  Each thread
+    keeps its own block-sized scratch rows.  Use it as a context manager:
+    leaving it waits for every submitted update and shuts the pool down.
     """
 
     def __init__(self):
-        self._queue: deque[tuple[AdamUpdate, int]] = deque()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)  # a block was queued, or closing
-        self._done = threading.Condition(self._lock)  # an update's last block ran
-        self._closed = False
         self._local = threading.local()
         self._unsettled: list[AdamUpdate] = []
         # sched_getaffinity is Linux-only; elsewhere every CPU counts as usable
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        self._threads = [threading.Thread(target=self._serve, daemon=True)
-                         for _ in range(cpus - 1)]
-        for thread in self._threads:
-            thread.start()
+        self._pool = ThreadPoolExecutor(cpus - 1) if cpus > 1 else None
 
     def submit(self, params: np.ndarray, grads: np.ndarray, state: AdamState,
                name: str | None = None) -> AdamUpdate:
-        """Queue one Adam step of the flat buffer ``params`` along ``grads``.
+        """Submit one Adam step of the flat buffer ``params`` along ``grads``.
 
         The buffers must not be touched until the step is waited for.  A
         fault's message starts with ``name`` when one is given.
@@ -518,63 +514,42 @@ class AdamWorkers:
                                   f"{grads.shape} and state ({size},) buffers do not fit")
         state.step_count += 1
         update = AdamUpdate(params, grads, state, name)
-        with self._lock:
-            self._queue.extend((update, lo) for lo in range(0, size, ADAM_BLOCK))
-            self._ready.notify_all()
+        update.blocks = [self._pool.submit(self._run, update, lo) if self._pool else Future()
+                         for lo in range(0, size, ADAM_BLOCK)]
         self._unsettled.append(update)
         return update
 
     def wait(self, update: AdamUpdate | None = None) -> None:
-        """Run queued blocks until ``update`` is done, or by default every
-        update submitted and not yet waited for.  Then raise the NumericFault
-        of the first of them, in submission order, whose blocks found one."""
+        """Settle ``update``, or by default every update submitted and not yet
+        waited for.  Then raise the exception or NumericFault of the first of
+        them, in submission order, whose blocks raised or found one."""
         updates = self._unsettled if update is None else [update]
-        for each in updates:
-            self._finish(each)
+        self._settle(updates)
         self._unsettled = [each for each in self._unsettled if each not in updates]
         for each in updates:
-            if each.error is not None:
-                raise each.error
             fault = each.fault()
             if fault is not None:
                 raise fault
 
-    def _finish(self, update: AdamUpdate) -> None:
-        while True:
-            with self._lock:
-                while update.remaining and not self._queue:
-                    self._done.wait()
-                if not update.remaining:
-                    return
-                block = self._queue.popleft()
-            self._run(*block)
+    def _settle(self, updates: list[AdamUpdate]) -> None:
+        """Run here every block of ``updates`` that no pool thread has started,
+        in place of its cancelled future, then wait for the others."""
+        for update in updates:
+            for i, block in enumerate(update.blocks):
+                if block.cancel():
+                    update.blocks[i] = here = Future()
+                    try:
+                        here.set_result(self._run(update, i * ADAM_BLOCK))
+                    except BaseException as err:  # raised again by wait, after every block
+                        here.set_exception(err)
+        futures_wait([block for update in updates for block in update.blocks])
 
-    def _run(self, update: AdamUpdate, lo: int) -> None:
+    def _run(self, update: AdamUpdate, lo: int):
         local = self._local
         if not hasattr(local, "rows"):
             local.rows = np.empty((2, ADAM_BLOCK))
             local.finite = np.empty(ADAM_BLOCK, dtype=bool)
-        fault = None
-        try:
-            fault = update.run_block(lo, local.rows, local.finite)
-        except BaseException as err:  # raised again by wait, not lost with this thread
-            update.error = err
-        with self._lock:
-            if fault is not None:
-                update.faults.append(fault)
-            update.remaining -= 1
-            if not update.remaining:
-                self._done.notify_all()
-
-    def _serve(self) -> None:
-        while True:
-            with self._lock:
-                while not (self._queue or self._closed):
-                    self._ready.wait()
-                if not self._queue:
-                    return
-                block = self._queue.popleft()
-            self._run(*block)
+        return update.run_block(lo, local.rows, local.finite)
 
     def __enter__(self) -> "AdamWorkers":
         return self
@@ -584,14 +559,10 @@ class AdamWorkers:
             if exc_type is None:
                 self.wait()
         finally:
-            for update in self._unsettled:
-                self._finish(update)
+            self._settle(self._unsettled)
             self._unsettled = []
-            with self._lock:
-                self._closed = True
-                self._ready.notify_all()
-            for thread in self._threads:
-                thread.join()
+            if self._pool is not None:
+                self._pool.shutdown()
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,

@@ -14,7 +14,7 @@ from ganfolio.errors import ValidationError
 from ganfolio.gan import TrainConfig, save_bundle, train, train_proposer
 from ganfolio.marketdata import split_train_test, write_price_csv
 from ganfolio.networks import load_networks, save_networks
-from ganfolio.reporting import read_csv_columns
+from ganfolio.reporting import read_csv_columns, write_training_log_csv
 
 from conftest import run_python, sinusoid_frame
 
@@ -155,12 +155,14 @@ class TestTrainCommand:
         assert main(["train", "--data", str(data_csv), "--model", "cgan",
                      *TRAIN_FLAGS, "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("flags", [["--split-date", SPLIT, "--lr=nan"], []],
-                             ids=["bad_setting", "no_split_date"])
-    def test_rejected_run_creates_no_out_directory(self, data_csv, tmp_path, flags):
+    @pytest.mark.parametrize("flags, code", [(["--split-date", SPLIT, "--lr=nan"], 2),
+                                             ([], 2),
+                                             (["--split-date", SPLIT, "--lr=1e300"], 3)],
+                             ids=["bad_setting", "no_split_date", "diverged"])
+    def test_rejected_run_creates_no_out_directory(self, data_csv, tmp_path, flags, code):
         out = tmp_path / "run1"
         assert main(["train", "--data", str(data_csv), "--model", "cgan", *TRAIN_FLAGS,
-                     *flags, "--out", str(out)]) == 2
+                     *flags, "--out", str(out)]) == code
         assert not out.exists()
 
 
@@ -191,19 +193,51 @@ def eavesdrop_run(data_csv, tmp_path_factory):
     return out
 
 
+def overflowing_bundle(trained_run, path):
+    """``trained_run``'s bundle with a simulator weight of 1e308, which overflows
+    the first affine layer for a latent entry above 1.8 in magnitude."""
+    components, meta = load_networks(trained_run / "bundle.gfa")
+    components["simulator"].weights[0][0, 0] = 1e308
+    save_networks(path, components, meta)
+    return path
+
+
 @pytest.mark.parametrize("command, case", [
     ("simulate", "no_bundle"), ("simulate", "no_data"), ("simulate", "eavesdrop"),
-    ("backtest", "no_bundle"), ("backtest", "no_data"), ("backtest", "eavesdrop")])
+    ("simulate", "indivisible"), ("simulate", "overflow"),
+    ("backtest", "no_bundle"), ("backtest", "no_data"), ("backtest", "eavesdrop"),
+    ("backtest", "indivisible"), ("backtest", "overflow")])
 def test_rejected_simulate_or_backtest_creates_no_out_directory(data_csv, trained_run,
                                                                eavesdrop_run, tmp_path,
                                                                command, case):
     bundle = {"no_bundle": tmp_path / "nobundle.gfa",
               "eavesdrop": eavesdrop_run / "bundle.gfa"}.get(case, trained_run / "bundle.gfa")
+    if case == "overflow":
+        bundle = overflowing_bundle(trained_run, tmp_path / "overflow.gfa")
     data = tmp_path / "nodata.csv" if case == "no_data" else data_csv
+    # 18 test days, so (18 - h) is not divisible by f
+    split = "2020-01-01+00028" if case == "indivisible" else SPLIT
     flags = ["--model", "cgan", "--eta", "4"] if command == "backtest" else []
     out = tmp_path / "out"
-    assert main([command, "--data", str(data), "--split-date", SPLIT, "--bundle", str(bundle),
-                 "--n-draws", "2", *flags, "--out", str(out)]) == 2
+    assert main([command, "--data", str(data), "--split-date", split, "--bundle", str(bundle),
+                 "--n-draws", "20" if case == "overflow" else "2", *flags,
+                 "--out", str(out)]) == (3 if case == "overflow" else 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "backtest"])
+@pytest.mark.parametrize("tickers", ["T0,T0", "T1,T0,T1"])
+def test_repeated_ticker_exit_2_names_it(data_csv, tmp_path, capsys, command, tickers):
+    # the pipeline cannot read back weights of one asset held twice
+    out = tmp_path / "out"
+    flags = {"ingest": [],
+             "train": ["--split-date", SPLIT, "--model", "cgan", *TRAIN_FLAGS, "--out", str(out)],
+             "backtest": ["--split-date", SPLIT, "--model", "markowitz", "--h", "8", "--eta", "4",
+                          "--out", str(out)]}[command]
+    assert main([command, "--data", str(data_csv), "--tickers", tickers, *flags]) == 2
+    repeated = tickers.split(",")[0]
+    assert capsys.readouterr() == ("", f"error: {data_csv}: ticker {repeated!r} requested "
+                                       f"more than once\n")
     assert not out.exists()
 
 
@@ -332,11 +366,7 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {bundle}: {message}\n"
 
     def test_non_finite_simulator_exit_3_names_layer(self, data_csv, trained_run, tmp_path):
-        # 1e308 times a latent entry above 1.8 in magnitude overflows the first affine layer
-        bundle = tmp_path / "overflow.gfa"
-        components, meta = load_networks(trained_run / "bundle.gfa")
-        components["simulator"].weights[0][0, 0] = 1e308
-        save_networks(bundle, components, meta)
+        bundle = overflowing_bundle(trained_run, tmp_path / "overflow.gfa")
         done = run_python("-m", "ganfolio.cli", "simulate", "--data", str(data_csv),
                           "--split-date", SPLIT, "--bundle", str(bundle), "--n-draws", "20",
                           "--seed", "1", "--out", str(tmp_path / "sim"))
@@ -345,6 +375,7 @@ class TestSimulateCommand:
                                "(2020-01-01+00035): simulator: layer 0 (affine 22->128) "
                                "produced a non-finite value\n")
         assert done.stdout == ""
+        assert not (tmp_path / "sim").exists()
 
     def test_divisibility_error_exit_2(self, data_csv, trained_run, tmp_path, capsys):
         code = main(["simulate", "--data", str(data_csv),
@@ -632,3 +663,20 @@ class TestCpuAffinity:
         assert main(["backtest", *common, "--model", "cgan", "--h", "40",
                      "--out", str(tmp_path / "backtest")]) == 0
         assert threading.active_count() == before
+
+
+def test_seven_pool_threads_train_byte_identical_to_one_cpu(tmp_path, monkeypatch):
+    # more pool threads than CPUs; TestCpuAffinity pins the machine's real CPUs
+    frame = sinusoid_frame(5, days=70, seed=0)
+    train_frame = split_train_test(frame, frame.dates[63])[0]
+    config = TrainConfig(model_kind="hybrid_acgan", h=40, f=20, m=100, epochs=2, seed=3)
+    written = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        bundle = train(train_frame, config)
+        save_bundle(tmp_path / "bundle.gfa", bundle)
+        write_training_log_csv(tmp_path / "training_log.csv", bundle.training_log)
+        written.append([(tmp_path / name).read_bytes()
+                        for name in ("bundle.gfa", "training_log.csv")])
+    assert written[0] == written[1]

@@ -392,7 +392,7 @@ class TestTrain:
                             r"overflows the second moment", str(caught.value))
         # the fault leaves no thread running and no block queued
         assert threading.active_count() == threads
-        assert made and not any(workers._queue for workers in made)
+        assert made and not any(workers._unsettled for workers in made)
 
     def test_copy_mu_stats_equal_standard(self, tiny_frame):
         config = TrainConfig(model_kind="hybrid_cgan", epochs=1, seed=0, **TINY)

@@ -8,9 +8,9 @@ import pytest
 
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
-from ganfolio.networks import (ADAM_BLOCK, ADAM_EPSILON, ROLES, AdamState, AdamWorkers,
-                               adam_step, build_network, forward, init_parameters, load_networks,
-                               sample_dropout_masks, save_networks)
+from ganfolio.networks import (ADAM_BLOCK, ADAM_EPSILON, ROLES, AdamState, AdamUpdate,
+                               AdamWorkers, adam_step, build_network, forward, init_parameters,
+                               load_networks, sample_dropout_masks, save_networks)
 
 from conftest import adam_state
 from oracles import tape_forward
@@ -302,7 +302,7 @@ class TestAdam:
                         workers.submit(p, g, state)
                     workers.wait()
                 out.extend(params)
-                out.append(len(workers._queue))
+                out.append(len(workers._unsettled))
 
         one, eight = [], []
         train(1, one)
@@ -317,6 +317,36 @@ class TestAdam:
         assert not runner.is_alive()
         assert eight[-1] == 0
         assert all(np.array_equal(a, b) for a, b in zip(one[:-1], eight[:-1]))
+
+    def test_the_waiter_makes_progress_while_every_pool_thread_is_busy(self, monkeypatch):
+        # two usable CPUs give one pool thread, held inside the block of update A
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        held, release = threading.Event(), threading.Event()
+        run_block = AdamUpdate.run_block
+
+        def hold_off_the_main_thread(update, *args):
+            if threading.current_thread() is not threading.main_thread():
+                held.set()
+                release.wait()
+            return run_block(update, *args)
+
+        monkeypatch.setattr(AdamUpdate, "run_block", hold_off_the_main_thread)
+        a, b = np.zeros(5), np.zeros(5)
+        timeout = threading.Timer(30.0, release.set)  # a stuck waiter fails, not hangs
+        timeout.start()
+        try:
+            with AdamWorkers() as workers:
+                first = workers.submit(a, np.ones(5), adam_state([a]))
+                assert held.wait(timeout=30.0)
+                workers.wait(workers.submit(b, np.ones(5), adam_state([b])))
+                assert not release.is_set()  # B was applied while A was still held
+                assert np.all(b < 0.0) and np.all(a == 0.0)
+                release.set()
+                workers.wait(first)
+                assert np.all(a < 0.0)
+        finally:
+            release.set()
+            timeout.cancel()
 
     @pytest.mark.filterwarnings("error")
     def test_an_exception_in_a_block_reaches_the_waiter(self):
