@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -129,10 +130,17 @@ def _load_bundle(config: RunConfig):
 
 def _require_out(config: RunConfig) -> Path:
     """The configured output directory, which the command creates only when it
-    writes its first artifact, so a rejected or failed run leaves none."""
+    writes its first artifact, so a rejected or failed run leaves none.  A path
+    that cannot become a writable directory is refused now, before the work."""
     if not config.out:
         raise ValidationError("no output directory configured (set out= or --out)")
-    return Path(config.out)
+    out = Path(config.out)
+    nearest = next(p for p in (out.absolute(), *out.absolute().parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValidationError(f"output directory {out}: {nearest} is not a directory")
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise ValidationError(f"output directory {out}: {nearest} is not writable")
+    return out
 
 
 def _cmd_ingest(args) -> int:

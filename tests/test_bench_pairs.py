@@ -36,6 +36,18 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     assert s["verdict"] == "unresolved"
 
 
+def test_every_change_run_better_than_every_parent_run_is_resolved():
+    # the parent's spread of 30% exceeds the bound, but no run of the change overlaps it
+    s = bench_pairs.summarize([70, 80, 100, 110, 120], [121, 125, 130, 122, 140], "higher", 0.25)
+    assert (s["wins"], s["verdict"]) == (5, "better in every run")
+    # quartiles 1.0 and 1.35 of a median 1.15: a spread of 30%
+    s = bench_pairs.summarize([1.0, 1.5, 1.0, 1.3], [0.9, 0.5, 0.8, 0.99], "lower", 0.25)
+    assert (s["wins"], s["verdict"]) == (4, "better in every run")
+    # one change run level with a parent run is not better in every run
+    s = bench_pairs.summarize([1.0, 1.5, 1.0, 1.3], [0.9, 0.5, 1.0, 0.99], "lower", 0.25)
+    assert (s["wins"], s["verdict"]) == (3, "unresolved")
+
+
 def test_needs_paired_runs():
     with pytest.raises(ValueError, match="two or more pairs"):
         bench_pairs.summarize([1.0], [1.0], "higher", 0.25)

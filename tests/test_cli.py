@@ -225,6 +225,29 @@ def test_rejected_simulate_or_backtest_creates_no_out_directory(data_csv, traine
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "simulate", "backtest"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_cannot_be_a_directory_exit_2_before_the_work(data_csv, trained_run, tmp_path,
+                                                               capsys, monkeypatch, command,
+                                                               under):
+    # refused before the work starts, not after it with the results lost
+    for work in ("train", "simulate_paths", "run_experiment"):
+        monkeypatch.setattr(f"ganfolio.cli.{work}",
+                            lambda *args, **kwargs: pytest.fail("the work started"))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if under else blocker
+    bundle = ["--bundle", str(trained_run / "bundle.gfa")]
+    flags = {"train": ["--model", "cgan", *TRAIN_FLAGS],
+             "simulate": bundle,
+             "backtest": ["--model", "cgan", "--eta", "4", *bundle]}[command]
+    assert main([command, "--data", str(data_csv), "--split-date", SPLIT, *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: output directory {out}: {blocker} is not a "
+                                       f"directory\n")
+    assert blocker.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["ingest", "train", "backtest"])
 @pytest.mark.parametrize("tickers", ["T0,T0", "T1,T0,T1"])
 def test_repeated_ticker_exit_2_names_it(data_csv, tmp_path, capsys, command, tickers):

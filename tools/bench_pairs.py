@@ -2,18 +2,21 @@
 """Compare two checkouts on perfbench in alternating pairs of runs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seed S --pairs N [--seconds 15]
+        --seed S --pairs N
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds SECONDS``
-once in each checkout: the parent first in odd pairs, the change first in
-even ones, so a drift of the machine's speed weighs on both sides alike.
-For every end-to-end metric that the change's ``BENCHMARK.json`` declares,
-it then prints each side's median and quartiles, how many pairs the change
-won, and the relative change of the medians against the metric's bound.  A
-metric is "unresolved" when the parent's own quartile spread, relative to
-its median, is wider than the bound: such runs cannot tell a change inside
-the bound from one outside it.  Nothing is written to either checkout
-beyond what perfbench itself writes.
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once
+in each checkout, with ``T`` the ``run_seconds`` of the change's
+``BENCHMARK.json``: the parent first in odd pairs, the change first in even
+ones, so a drift of the machine's speed weighs on both sides alike.  For
+every end-to-end metric that ``BENCHMARK.json`` declares, it then prints
+each side's median and quartiles, how many pairs the change won, and the
+relative change of the medians against the metric's bound.  A metric is
+"unresolved" when the parent's own quartile spread, relative to its median,
+is wider than the bound: such runs cannot tell a change inside the bound
+from one outside it.  That does not hold when every run of the change reads
+better than every run of the parent, which is reported as "better in every
+run".  Nothing is written to either checkout beyond what perfbench itself
+writes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     p_q1, p_median, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
     c_q1, c_median, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
     gain = sign * (c_median - p_median) / p_median  # > 0 when the change is better
-    if (p_q3 - p_q1) / p_median > bound:
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        verdict = "better in every run"
+    elif (p_q3 - p_q1) / p_median > bound:
         verdict = "unresolved"
     elif gain < -bound:
         verdict = "worse"
@@ -67,15 +72,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     runs = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
             if not result["correct"] or result["failed"]:
                 raise SystemExit(f"pair {pair}, {side}: check failed or operations failed: "
                                  f"{json.dumps(result)}")
@@ -84,7 +89,7 @@ def main(argv=None) -> int:
             f"{m['name']} {runs['parent'][-1][m['name']]['value']:.4g} vs "
             f"{runs['change'][-1][m['name']]['value']:.4g}" for m in metrics), flush=True)
 
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs; "
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs; "
           f"median (quartiles), parent vs change")
     for metric in metrics:
         name = metric["name"]
