@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .backtest import REBALANCE_SETTINGS
-from .errors import ValidationError
+from .errors import ValidationError, opened
 from .gan import MODEL_KINDS, TrainConfig
 
 _MODEL_CHOICES = MODEL_KINDS + ("markowitz",)
@@ -117,10 +117,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional file plus CLI overrides."""
     values = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
-        values.update(parse_config_text(path.read_text()))
+        with opened(path, "config file") as handle:
+            values.update(parse_config_text(handle.read()))
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -2,8 +2,12 @@
 
 Two failure families matter to callers: bad inputs (files, shapes, config
 values) and numeric faults (non-finite values appearing mid-computation).
-The CLI maps them to exit codes 2 and 3 respectively.
+The CLI maps them to exit codes 2 and 3 respectively.  :func:`opened`
+turns the ways an input file cannot be read into the first family.
 """
+
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class GanfolioError(Exception):
@@ -16,3 +20,23 @@ class ValidationError(GanfolioError):
 
 class NumericFault(GanfolioError):
     """A computation produced NaN or infinity."""
+
+
+@contextmanager
+def opened(path, what: str, binary: bool = False):
+    """The input file ``path``, open for reading as bytes or as UTF-8 text.
+
+    A missing file raises ValidationError "<what> not found: <path>".  A
+    directory, a file that cannot be read, or text that is not UTF-8 raises
+    ValidationError naming the file, including when the caller's reads hit it.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"{what} not found: {path}")
+    try:
+        with (path.open("rb") if binary else path.open(encoding="utf-8", newline="")) as handle:
+            yield handle
+    except OSError as err:
+        raise ValidationError(f"{path}: cannot read {what}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path}: {what} is not UTF-8 text ({err.reason})") from None

@@ -561,30 +561,33 @@ def simulate_paths(bundle: ModelBundle, test_frame: PriceFrame, n_draws: int,
     # z[b, j] is draw j's latent vector for block b
     z = np.stack([_rng(seed, "draw", extra=j).standard_normal((len(starts), bundle.config.m))
                   for j in range(n_draws)], axis=1)
-    try:
-        stats, blocks = _generate(bundle, windows, z)
-    except NumericFault:
-        # rerun one block at a time to name the first that faults
-        for b, start in enumerate(starts):
-            try:
-                _generate(bundle, windows[b:b + 1], z[b:b + 1])
-            except NumericFault as fault:
-                raise NumericFault(f"simulating the block from test day {start} "
-                                   f"({test_frame.dates[start - 1]}): {fault}") from fault
-        raise
+    with AdamWorkers() as workers:
+        try:
+            stats, blocks = _generate(bundle, windows, z, workers)
+        except NumericFault:
+            # rerun one block at a time to name the first that faults
+            for b, start in enumerate(starts):
+                try:
+                    _generate(bundle, windows[b:b + 1], z[b:b + 1], workers)
+                except NumericFault as fault:
+                    raise NumericFault(f"simulating the block from test day {start} "
+                                       f"({test_frame.dates[start - 1]}): {fault}") from fault
+            raise
     paths = np.repeat(test_frame.prices[None], n_draws, axis=0)
     for start, block_stats, block in zip(starts, stats, blocks):
         paths[:, :, start - 1:start - 1 + f] = denormalize(block, block_stats)
     return paths
 
 
-def _generate(bundle: ModelBundle, windows: list[WindowSample], z: np.ndarray):
+def _generate(bundle: ModelBundle, windows: list[WindowSample], z: np.ndarray,
+              workers: AdamWorkers):
     """Each block's stats and normalized draws, shape (blocks, draws, N, f).
 
     ``z`` holds the (blocks, draws, m) latent vectors.  The proposer (hybrid
     regime) runs once per block inside :func:`window_stats`, the conditioner
     once on the stack of normalized histories, and the simulator on the
-    (block, draw) rows in balanced chunks of at most SIMULATOR_CHUNK_ROWS.
+    (block, draw) rows in balanced chunks of at most SIMULATOR_CHUNK_ROWS,
+    spread over ``workers``' pool.
     """
     stats = [window_stats(bundle, window) for window in windows]
     codes = forward(bundle.conditioner, np.stack(
@@ -594,7 +597,7 @@ def _generate(bundle: ModelBundle, windows: list[WindowSample], z: np.ndarray):
         [z, np.broadcast_to(codes[:, None], (n_blocks, n_draws, codes.shape[1]))],
         axis=2).reshape(n_blocks * n_draws, -1)
     chunks = np.array_split(latent, -(-latent.shape[0] // SIMULATOR_CHUNK_ROWS))
-    rows = np.concatenate([forward(bundle.simulator, chunk) for chunk in chunks])
+    rows = np.concatenate(workers.map(lambda chunk: forward(bundle.simulator, chunk), chunks))
     return stats, rows.reshape(n_blocks, n_draws, bundle.n_assets, -1)
 
 

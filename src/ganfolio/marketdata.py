@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, opened
 
 CSV_SIGNIFICANT_DIGITS = 10
 
@@ -95,9 +95,7 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
         error.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"price file not found: {path}")
-    with path.open(newline="") as handle:
+    with opened(path, "price file") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise ValidationError(f"{path}: empty file")

@@ -22,6 +22,8 @@ zero.  In train mode dropout applies a frozen mask drawn by
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericFault, ValidationError
+from .errors import NumericFault, ValidationError, opened
 
 ROLES = ("conditioner", "encoder", "decoder", "simulator", "hybrid_simulator",
          "discriminator", "proposer")
@@ -480,17 +482,74 @@ class AdamUpdate:
         return NumericFault(message if self.name is None else f"{self.name}: {message}")
 
 
-class AdamWorkers:
-    """Adam blocks on a thread pool.
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None under another BLAS.  numpy's wheels ship it as
+    ``libscipy_openblas64_`` in ``numpy.libs`` (Linux, Windows) or in
+    ``numpy/.dylibs`` (macOS); loading it again finds the copy numpy uses."""
+    package = Path(np.__file__).parent
+    for path in (*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                 *package.glob(".dylibs/libscipy_openblas64_*")):
+        try:
+            library = ctypes.CDLL(str(path))
+            get = library.scipy_openblas_get_num_threads64_
+            set_ = library.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
-    :meth:`submit` gives each block of one step its own future and returns at
-    once.  A pool of one thread per usable CPU beyond the first runs the
-    blocks; a caller in :meth:`wait` runs every block no pool thread has
-    started (one whose ``cancel()`` succeeds) and then waits for the rest, so
-    the waiter still makes progress while every pool thread is busy.  On one
-    CPU there is no pool, and every block runs in :meth:`wait`.  Each thread
-    keeps its own block-sized scratch rows.  Use it as a context manager:
-    leaving it waits for every submitted update and shuts the pool down.
+
+class _OneBlasThread:
+    """Holds numpy's bundled OpenBLAS at one thread while any holder is inside.
+
+    The thread count belongs to the process, so the holders are counted: the
+    first in saves the count and sets 1, the last out restores it.  Under
+    another BLAS this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+
+    def __enter__(self) -> None:
+        with self._lock:
+            threads = _openblas_threads()
+            if self._holders == 0 and threads is not None:
+                self._saved = threads[0]()
+                threads[1](1)
+            self._holders += 1
+
+    def __exit__(self, *_) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._saved is not None:
+                _openblas_threads()[1](self._saved)
+                self._saved = None
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+class AdamWorkers:
+    """The program's thread pool: Adam blocks and other independent calls.
+
+    :meth:`submit` gives each block of one Adam step its own future and
+    returns at once; :meth:`map` spreads calls such as simulator chunks.  A
+    pool of one thread per usable CPU beyond the first runs them; a caller
+    in :meth:`wait` or :meth:`map` runs every one no pool thread has started
+    (one whose ``cancel()`` succeeds) and then waits for the rest, so the
+    waiter still makes progress while every pool thread is busy.  On one CPU
+    there is no pool, and everything runs in the caller.  Each thread keeps
+    its own block-sized scratch rows.  Use it as a context manager: inside,
+    numpy's bundled OpenBLAS runs one thread, so the pool's threads do not
+    contend with its own and results do not depend on its thread count;
+    leaving waits for every submitted update, shuts the pool down and
+    restores the caller's BLAS thread count.
     """
 
     def __init__(self):
@@ -524,25 +583,45 @@ class AdamWorkers:
         waited for.  Then raise the exception or NumericFault of the first of
         them, in submission order, whose blocks raised or found one."""
         updates = self._unsettled if update is None else [update]
-        self._settle(updates)
+        self._settle_updates(updates)
         self._unsettled = [each for each in self._unsettled if each not in updates]
         for each in updates:
             fault = each.fault()
             if fault is not None:
                 raise fault
 
-    def _settle(self, updates: list[AdamUpdate]) -> None:
-        """Run here every block of ``updates`` that no pool thread has started,
-        in place of its cancelled future, then wait for the others."""
-        for update in updates:
-            for i, block in enumerate(update.blocks):
-                if block.cancel():
-                    update.blocks[i] = here = Future()
-                    try:
-                        here.set_result(self._run(update, i * ADAM_BLOCK))
-                    except BaseException as err:  # raised again by wait, after every block
-                        here.set_exception(err)
-        futures_wait([block for update in updates for block in update.blocks])
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]``, with the calls spread over the pool.
+
+        One item, or no pool, runs in the caller and starts no thread.  Once
+        every call is done, raises the exception of the first call, in item
+        order, that raised one.
+        """
+        items = list(items)
+        if self._pool is None or len(items) < 2:
+            return [fn(item) for item in items]
+        futures = [self._pool.submit(fn, item) for item in items]
+        self._settle([(futures, i, functools.partial(fn, item))
+                      for i, item in enumerate(items)])
+        return [future.result() for future in futures]
+
+    def _settle_updates(self, updates: list[AdamUpdate]) -> None:
+        self._settle([(update.blocks, i, functools.partial(self._run, update, i * ADAM_BLOCK))
+                      for update in updates for i in range(len(update.blocks))])
+
+    @staticmethod
+    def _settle(calls) -> None:
+        """Run here every call that no pool thread has started, in place of its
+        cancelled future, then wait for the others.  A call ``(futures, i, fn)``
+        is the work ``fn()`` of ``futures[i]``."""
+        for futures, i, fn in calls:
+            if futures[i].cancel():
+                futures[i] = here = Future()
+                try:
+                    here.set_result(fn())
+                except BaseException as err:  # raised again by its reader, after every call
+                    here.set_exception(err)
+        futures_wait([futures[i] for futures, i, _ in calls])
 
     def _run(self, update: AdamUpdate, lo: int):
         local = self._local
@@ -552,6 +631,7 @@ class AdamWorkers:
         return update.run_block(lo, local.rows, local.finite)
 
     def __enter__(self) -> "AdamWorkers":
+        _ONE_BLAS_THREAD.__enter__()
         return self
 
     def __exit__(self, exc_type, *_) -> None:
@@ -559,10 +639,11 @@ class AdamWorkers:
             if exc_type is None:
                 self.wait()
         finally:
-            self._settle(self._unsettled)
+            self._settle_updates(self._unsettled)
             self._unsettled = []
             if self._pool is not None:
                 self._pool.shutdown()
+            _ONE_BLAS_THREAD.__exit__()
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -626,10 +707,8 @@ def load_networks(path) -> tuple[dict[str, MlpNetwork], dict]:
     has no checksum, so damage inside the array data loads as different numbers.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"archive not found: {path}")
     # each array is read straight into its view of the network's flat buffer
-    with path.open("rb") as handle:
+    with opened(path, "archive", binary=True) as handle:
         size = os.fstat(handle.fileno()).st_size
         cursor = len(ARCHIVE_MAGIC) + 8
         lead = handle.read(cursor)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .backtest import WeightSchedule
-from .errors import ValidationError
+from .errors import ValidationError, opened
 from .marketdata import PriceFrame
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -116,14 +117,13 @@ def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.nda
     """Read a small CSV into {header: column values} (report rendering).
 
     Columns named in ``text`` stay lists of strings; every other column is
-    parsed into a float64 array.  A missing file, no data rows, a missing
-    ``required`` column, a row of the wrong length or an unparseable number
-    raises ValidationError naming the file (and the row and column).
+    parsed into a float64 array.  A missing or unreadable file, no data rows,
+    a missing ``required`` column, a row of the wrong length, or a number
+    that is unparseable or not finite raises ValidationError naming the file
+    (and the row and column).
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"missing CSV: {path}")
-    with path.open(newline="") as handle:
+    with opened(path, "CSV") as handle:
         rows = list(csv.reader(handle))
     if len(rows) < 2:
         raise ValidationError(f"{path}: no data rows")
@@ -138,10 +138,14 @@ def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.nda
         for name, cell in zip(header, row):
             if name not in text:
                 try:
-                    cell = float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise ValidationError(f"{path}: unparseable value {cell!r} at row {row_no}, "
                                           f"column {name!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(f"{path}: non-finite value {cell!r} at row {row_no}, "
+                                          f"column {name!r}")
+                cell = value
             columns[name].append(cell)
     return {name: column if name in text else np.array(column, dtype=np.float64)
             for name, column in columns.items()}

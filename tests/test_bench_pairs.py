@@ -48,6 +48,28 @@ def test_every_change_run_better_than_every_parent_run_is_resolved():
     assert (s["wins"], s["verdict"]) == (3, "unresolved")
 
 
+def test_a_claim_needs_nine_in_ten_wins_and_medians_apart_by_the_parent_spread():
+    # parent quartiles 102.25 and 106.75 (a spread of 4.5), median 104.5
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    s = bench_pairs.summarize(parent, [p + 5 for p in parent], "higher", 0.25)
+    assert (s["wins"], s["parent"][2] - s["parent"][1], s["claim"]) == (10, 4.5, True)
+    # nine wins and one tie still make nine in ten
+    s = bench_pairs.summarize(parent, [p + 6 for p in parent[:9]] + [109], "higher", 0.25)
+    assert (s["wins"], s["claim"]) == (9, True)
+    # eight wins, a tie and a loss do not, though the medians are far apart
+    s = bench_pairs.summarize(parent, [p + 10 for p in parent[:8]] + [108, 100], "higher",
+                              0.25)
+    assert (s["wins"], s["claim"]) == (8, False)
+    # every pair won, but the medians only 4 apart, inside the spread of 4.5
+    s = bench_pairs.summarize(parent, [p + 4 for p in parent], "higher", 0.25)
+    assert (s["wins"], s["change"][0] - s["parent"][0], s["claim"]) == (10, 4, False)
+    # lower is better: a fall of the median by more than the spread is a gain
+    s = bench_pairs.summarize(parent, [p - 5 for p in parent], "lower", 0.25)
+    assert (s["wins"], s["claim"]) == (10, True)
+    s = bench_pairs.summarize(parent, [p + 5 for p in parent], "lower", 0.25)
+    assert (s["wins"], s["claim"]) == (0, False)
+
+
 def test_needs_paired_runs():
     with pytest.raises(ValueError, match="two or more pairs"):
         bench_pairs.summarize([1.0], [1.0], "higher", 0.25)

@@ -2,6 +2,7 @@ import csv
 import os
 import shutil
 import threading
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -11,10 +12,10 @@ import ganfolio
 from ganfolio.cli import main
 from ganfolio.config import RunConfig, load_run_config, parse_config_text, write_effective_config
 from ganfolio.errors import ValidationError
-from ganfolio.gan import TrainConfig, save_bundle, train, train_proposer
+from ganfolio.gan import TrainConfig, save_bundle, simulate_paths, train, train_proposer
 from ganfolio.marketdata import split_train_test, write_price_csv
 from ganfolio.networks import load_networks, save_networks
-from ganfolio.reporting import read_csv_columns, write_training_log_csv
+from ganfolio.reporting import write_training_log_csv
 
 from conftest import run_python, sinusoid_frame
 
@@ -277,6 +278,56 @@ def test_negative_seed_exit_2_names_seed(data_csv, trained_run, tmp_path, capsys
     assert not out.exists()
 
 
+class TestUnreadableInputs:
+    """An input that is a directory or is not UTF-8 exits 2 naming the file,
+    and writes no --out."""
+
+    def test_non_utf8_price_csv_exit_2(self, data_csv, tmp_path, capsys):
+        bad = tmp_path / "prices.csv"
+        bad.write_bytes(data_csv.read_bytes() + b"\xff\xfe")
+        assert main(["ingest", "--data", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: price file is not UTF-8 text "
+                                           f"(invalid start byte)\n")
+
+    def test_directory_as_price_csv_exit_2(self, tmp_path, capsys):
+        assert main(["ingest", "--data", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}: cannot read price file: "
+                                           f"Is a directory\n")
+
+    def test_directory_as_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["backtest", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}: cannot read config file: "
+                                           f"Is a directory\n")
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"h=8\n# caf\xe9\n")
+        out = tmp_path / "out"
+        assert main(["backtest", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {config}: config file is not UTF-8 text "
+                                           f"(invalid continuation byte)\n")
+        assert not out.exists()
+
+    def test_directory_as_bundle_exit_2(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--data", str(data_csv), "--split-date", SPLIT,
+                     "--bundle", str(tmp_path), "--n-draws", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}: cannot read archive: "
+                                           f"Is a directory\n")
+        assert not out.exists()
+
+    def test_non_utf8_report_csv_exit_2(self, run_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        with (run / "value_series.csv").open("ab") as handle:
+            handle.write(b"\xff\n")
+        assert main(["report", "--run", str(run)]) == 2
+        assert capsys.readouterr() == ("", f"error: {run / 'value_series.csv'}: CSV is not "
+                                           f"UTF-8 text (invalid start byte)\n")
+
+
 class TestSimulateCommand:
     def test_paths_and_overlay(self, data_csv, trained_run, tmp_path):
         out = tmp_path / "sim"
@@ -523,6 +574,23 @@ class TestBacktestAndReport:
         assert main(["report", "--run", str(run)]) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_value_exit_2_names_file_row_and_column(self, run_dir, tmp_path, capsys,
+                                                               value):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        path = run / "value_series.csv"
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[2][1] = value
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--run", str(run)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: non-finite value {value!r} at row 3, "
+                                           f"column {rows[0][1]!r}\n")
+
     def test_empty_run_dir_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -586,18 +654,22 @@ class TestEavesdropGating:
         assert contents[0] == contents[1]
 
 
-# train, simulate and backtest in one process; argv: data csv, split date, out dir
+# train, simulate and backtest a cgan, then train and simulate a hybrid_cgan, in one
+# process; argv: data csv, split date, out dir
 PIPELINE = """
 import sys
 from ganfolio.cli import main
 data, split, out = sys.argv[1:]
 common = ["--data", data, "--split-date", split, "--seed", "3"]
-for argv in (["train", *common, "--h", "8", "--f", "20", "--m", "100", "--epochs", "1",
-              "--out", out + "/train"],
+widths = ["--h", "8", "--f", "20", "--m", "100", "--epochs", "1"]
+for argv in (["train", *common, *widths, "--out", out + "/train"],
              ["simulate", *common, "--bundle", out + "/train/bundle.gfa", "--n-draws", "100",
               "--out", out + "/simulate"],
              ["backtest", *common, "--bundle", out + "/train/bundle.gfa", "--n-draws", "100",
-              "--out", out + "/backtest"]):
+              "--out", out + "/backtest"],
+             ["train", *common, "--model", "hybrid_cgan", *widths, "--out", out + "/hybrid"],
+             ["simulate", *common, "--bundle", out + "/hybrid/bundle.gfa", "--n-draws", "100",
+              "--out", out + "/hybrid_simulate"]):
     assert main(argv) == 0, argv
 """
 
@@ -605,33 +677,27 @@ for argv in (["train", *common, "--h", "8", "--f", "20", "--m", "100", "--epochs
 class TestBlasThreadCounts:
     def test_one_and_two_threads(self, tmp_path):
         # 5 assets, f=20 and m=100 make the simulator's batched products big
-        # enough for OpenBLAS to split them across two threads, which can round
-        # a path value differently (docs/formats.md, "BLAS thread count")
+        # enough for OpenBLAS to split them across two threads, and the hybrid
+        # simulator's x100 output scale carries the rounding into its paths
+        # (at 17 or more draws, before the program held OpenBLAS at one thread
+        # while it works; docs/formats.md, "BLAS thread count").  Both runs
+        # write to the same relative --out, so that config.effective compares.
         data = tmp_path / "prices.csv"
         frame = sinusoid_frame(5, days=82, seed=0)
         write_price_csv(frame, data)
-        outs = {}
+        runs = {}
         for threads in ("1", "2"):
-            outs[threads] = tmp_path / f"threads_{threads}"
-            done = run_python("-c", PIPELINE, str(data), frame.dates[33], str(outs[threads]),
-                              OPENBLAS_NUM_THREADS=threads)
+            runs[threads] = tmp_path / f"threads_{threads}"
+            runs[threads].mkdir()
+            done = run_python("-c", PIPELINE, str(data), frame.dates[33], "run",
+                              cwd=runs[threads], OPENBLAS_NUM_THREADS=threads)
             assert done.returncode == 0, done.stderr
-        one, two = outs["1"], outs["2"]
-        for name in ("bundle.gfa", "training_log.csv"):
-            assert (one / "train" / name).read_bytes() == (two / "train" / name).read_bytes()
-        paths = np.load(one / "simulate" / "paths.npy")
-        assert np.abs(np.load(two / "simulate" / "paths.npy") - paths).max() \
-            <= 1e-12 * np.abs(paths).max()
-        for name, text in (("value_series.csv", ("date",)), ("scatter.csv", ()),
-                           ("weights_cgan.csv", ("date", "ticker"))):
-            a = read_csv_columns(one / "backtest" / name, text=text)
-            b = read_csv_columns(two / "backtest" / name, text=text)
-            assert a.keys() == b.keys()
-            for column in a:
-                if column in text:
-                    assert a[column] == b[column]
-                else:
-                    np.testing.assert_allclose(b[column], a[column], rtol=1e-10, atol=1e-12)
+        artifacts = {threads: sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file())
+                     for threads, run in runs.items()}
+        assert artifacts["1"] == artifacts["2"]
+        assert len(artifacts["1"]) == 3 + 4 + 5 + 3 + 4
+        for name in artifacts["1"]:
+            assert (runs["1"] / name).read_bytes() == (runs["2"] / name).read_bytes(), name
 
 
 # `ganfolio train` at protocol widths, on one CPU when argv[1] is "one" (set
@@ -683,6 +749,10 @@ class TestCpuAffinity:
                   "--bundle", str(tmp_path / "bundle.gfa"), "--n-draws", "2"]
         assert main(["simulate", *common, "--out", str(tmp_path / "simulate")]) == 0
         assert threading.active_count() == before
+        # 43 draws of 3 blocks are 129 rows, two simulator chunks for the pool
+        assert main(["simulate", *common, "--n-draws", "43",
+                     "--out", str(tmp_path / "simulate_43")]) == 0
+        assert threading.active_count() == before
         assert main(["backtest", *common, "--model", "cgan", "--h", "40",
                      "--out", str(tmp_path / "backtest")]) == 0
         assert threading.active_count() == before
@@ -702,4 +772,19 @@ def test_seven_pool_threads_train_byte_identical_to_one_cpu(tmp_path, monkeypatc
         write_training_log_csv(tmp_path / "training_log.csv", bundle.training_log)
         written.append([(tmp_path / name).read_bytes()
                         for name in ("bundle.gfa", "training_log.csv")])
+    assert written[0] == written[1]
+
+
+def test_eight_cpus_simulate_byte_identical_to_one_cpu(monkeypatch):
+    # 1000 draws of 3 blocks are 24 simulator chunks, spread over a pool of 7
+    # threads (8 CPUs reported by a patched os.sched_getaffinity) or run in turn
+    frame = sinusoid_frame(5, days=164, seed=0)
+    train_frame, test_frame = split_train_test(frame, frame.dates[63])
+    bundle = train(train_frame, TrainConfig(model_kind="cgan", h=40, f=20, m=100, epochs=1,
+                                            seed=3))
+    written = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        written.append(simulate_paths(bundle, test_frame, n_draws=1000, seed=5).tobytes())
     assert written[0] == written[1]

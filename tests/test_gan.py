@@ -516,25 +516,29 @@ class TestSimulatePaths:
         assert max(sizes) <= 128 and max(sizes) - min(sizes) <= 1
 
     def test_fault_names_the_first_faulting_block(self, tiny_frame, tiny_cgan):
-        # 1e308 times a latent entry above 1.8 in magnitude overflows the
-        # simulator's first affine layer.  Pick a seed whose two draws keep that
-        # entry below 1 in the first and last block and pass 2 in the middle one,
-        # so only the block from test day 13 overflows.
-        def first_entries(seed):  # (draws, blocks), keyed like the library's draw streams
+        # A simulator weight w on the first latent entry overflows the first
+        # affine layer exactly for the entries above DBL_MAX / w in magnitude.
+        # Pick a seed whose largest such entry lies in the middle block, well
+        # clear of the other two blocks' entries, and w between them, so only
+        # the block from test day 13 overflows.  At 43 draws the 129 rows make
+        # two simulator chunks, which run on the pool when two CPUs are usable.
+        def first_entries(seed, n_draws):  # (draws, blocks), keyed like the library's streams
             return np.abs([np.random.default_rng([seed, 6, 0, j]).standard_normal((3, 6))[:, 0]
-                           for j in range(2)])
-        seed = next(seed for seed in range(1000)
-                    if (first_entries(seed)[:, [0, 2]] < 1.0).all()
-                    and (first_entries(seed)[:, 1] > 2.0).any())
-        bundle = copy.deepcopy(tiny_cgan)
-        bundle.simulator.weights[0][0, 0] = 1e308
-        layer = bundle.simulator.layers[0]
+                           for j in range(n_draws)])
+        layer = tiny_cgan.simulator.layers[0]
         test = make_frame(tiny_frame.prices[:, :20])
-        with pytest.raises(NumericFault) as raised:
-            simulate_paths(bundle, test, n_draws=2, seed=seed)
-        assert str(raised.value) == (
-            f"simulating the block from test day 13 ({test.dates[12]}): simulator: layer 0 "
-            f"(affine {layer.in_dim}->{layer.out_dim}) produced a non-finite value")
+        for n_draws in (2, 43):
+            seed, entries = next((seed, entries) for seed in range(1000)
+                                 if (entries := first_entries(seed, n_draws))[:, 1].max()
+                                 > 1.5 * max(entries[:, [0, 2]].max(), 1.0))
+            middle, others = entries[:, 1].max(), max(entries[:, [0, 2]].max(), 1.0)
+            bundle = copy.deepcopy(tiny_cgan)
+            bundle.simulator.weights[0][0, 0] = np.finfo(np.float64).max / np.sqrt(middle * others)
+            with pytest.raises(NumericFault) as raised:
+                simulate_paths(bundle, test, n_draws=n_draws, seed=seed)
+            assert str(raised.value) == (
+                f"simulating the block from test day 13 ({test.dates[12]}): simulator: layer 0 "
+                f"(affine {layer.in_dim}->{layer.out_dim}) produced a non-finite value"), n_draws
 
     def test_nonhybrid_normalized_output_strictly_inside_unit(self, tiny_frame, tiny_cgan):
         test = make_frame(tiny_frame.prices[:, :20])

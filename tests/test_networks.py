@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from ganfolio import networks
 from ganfolio.autodiff import Tensor
 from ganfolio.errors import NumericFault, ValidationError
 from ganfolio.networks import (ADAM_BLOCK, ADAM_EPSILON, ROLES, AdamState, AdamUpdate,
@@ -358,6 +359,52 @@ class TestAdam:
         with pytest.raises(RuntimeWarning, match="overflow"):
             with AdamWorkers() as workers:
                 adam_step(params, np.ones(params.size), state, workers)
+
+
+class TestWorkerPool:
+    def test_map_keeps_item_order_and_raises_the_first_failure(self, monkeypatch):
+        # a pool of 3 threads; items 2 and 4 fail, item 2's error is raised
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        done = []
+
+        def square(item):
+            done.append(item)
+            if item in (2, 4):
+                raise ValueError(f"item {item}")
+            return item * item
+
+        threads = threading.active_count()
+        with AdamWorkers() as workers:
+            assert workers.map(lambda item: item * item, range(9)) == [i * i for i in range(9)]
+            with pytest.raises(ValueError, match="^item 2$"):
+                workers.map(square, range(9))
+            assert sorted(done) == list(range(9))  # every call ran before the raise
+        assert threading.active_count() == threads
+
+    def test_one_item_runs_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = threading.active_count()
+        with AdamWorkers() as workers:
+            assert workers.map(lambda item: threading.current_thread(), [0]) == \
+                [threading.current_thread()]
+            assert threading.active_count() == threads
+
+    def test_openblas_runs_one_thread_inside_and_the_count_is_restored(self):
+        threads = networks._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS here")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        try:
+            with AdamWorkers():
+                assert get() == 1
+                with AdamWorkers():
+                    assert get() == 1
+                assert get() == 1  # the inner block does not restore the outer's count
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 class TestArchive:

@@ -15,8 +15,11 @@ relative change of the medians against the metric's bound.  A metric is
 is wider than the bound: such runs cannot tell a change inside the bound
 from one outside it.  That does not hold when every run of the change reads
 better than every run of the parent, which is reported as "better in every
-run".  Nothing is written to either checkout beyond what perfbench itself
-writes.
+run".  A line of its own says whether the runs support a claim that the
+change improved the metric: the change must win at least nine tenths of the
+pairs, a tie counting for neither side, and the medians must differ by more
+than the parent's quartile spread.  Nothing is written to either checkout
+beyond what perfbench itself writes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from pathlib import Path
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Medians, quartiles and pair wins of one metric over paired runs.
+    """Medians, quartiles and pair wins of one metric over paired runs, the
+    verdict against ``bound``, and whether a claimed gain holds.
 
     ``parent[i]`` and ``change[i]`` come from pair ``i``; ``better`` is
     "higher" or "lower"; ``bound`` is the allowed relative worsening.
@@ -49,9 +53,11 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         verdict = "worse"
     else:
         verdict = "within bound"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    claimed = 10 * wins >= 9 * len(parent) and sign * (c_median - p_median) > p_q3 - p_q1
     return {"parent": (p_median, p_q1, p_q3), "change": (c_median, c_q1, c_q3),
-            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "pairs": len(parent), "gain": gain, "verdict": verdict}
+            "wins": wins, "pairs": len(parent), "gain": gain, "verdict": verdict,
+            "claim": claimed}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -101,6 +107,11 @@ def main(argv=None) -> int:
               f"{s['parent'][2]:.4g}) vs {s['change'][0]:.4g} ({s['change'][1]:.4g}-"
               f"{s['change'][2]:.4g}); change better in {s['wins']} of {s['pairs']}, "
               f"median better by {s['gain']:+.1%}: {s['verdict']}")
+        print(f"    claim of a gain {'met' if s['claim'] else 'not met'}: change better in "
+              f"{s['wins']} of {s['pairs']} pairs (needs {-(-9 * s['pairs'] // 10)}), "
+              f"medians {abs(s['change'][0] - s['parent'][0]):.4g} apart "
+              f"(needs over the parent's quartile spread, "
+              f"{s['parent'][2] - s['parent'][1]:.4g})")
     return 0
 
 
