@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,8 @@ from .reporting import (read_csv_columns, svg_line_chart, svg_scatter,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
         return 2
     try:
         return args.handler(args)
@@ -45,6 +44,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def _parse_args(argv: list[str]):
+    """``argv`` parsed, or None after printing the help when it names no command.
+
+    A named command is parsed by a parser of its own arguments alone, since
+    building every command's parser is most of the cost of a parse.  The
+    full parser takes everything else, with the same output and exit code:
+    no command, a top-level flag, an unknown command, and arguments the
+    command leaves unrecognized, which argparse reports at the top level.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"ganfolio {argv[0]}", allow_abbrev=False)
+        _add_command_arguments(parser, argv[0])
+        args, unrecognized = parser.parse_known_args(argv[1:])
+        if not unrecognized:
+            return args
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+        return None
+    return args
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ganfolio",
@@ -53,38 +75,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ganfolio {__version__}")
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
-
-    p = sub.add_parser("ingest", allow_abbrev=False,
-                       help="validate a price CSV and print a summary")
-    p.add_argument("--data", required=True, help="price CSV path")
-    p.add_argument("--tickers", default=None, help="comma-separated ticker subset/order")
-    p.set_defaults(handler=_cmd_ingest)
-
-    p = sub.add_parser("train", allow_abbrev=False,
-                       help="train a model and persist the bundle")
-    _add_config_arguments(p, ("data", "tickers", "split_date", "model", "h", "f", "m",
-                              "epochs", "lambda1", "lambda2", "lr", "beta1", "beta2",
-                              "seed", "regime", "allow_forward_bias", "out"))
-    p.set_defaults(handler=_cmd_train)
-
-    p = sub.add_parser("simulate", allow_abbrev=False,
-                       help="draw synthetic paths from a trained bundle")
-    _add_config_arguments(p, ("data", "tickers", "split_date", "bundle", "n_draws",
-                              "seed", "allow_forward_bias", "out"))
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("backtest", allow_abbrev=False,
-                       help="backtest a model (and the Markowitz baseline)")
-    _add_config_arguments(p, ("data", "tickers", "split_date", "model", "bundle", "h",
-                              "eta", "n_draws", "seed", "r_f", "allow_forward_bias",
-                              "out"))
-    p.set_defaults(handler=_cmd_backtest)
-
-    p = sub.add_parser("report", allow_abbrev=False,
-                       help="render SVG plots from a backtest run directory")
-    p.add_argument("--run", required=True, help="directory produced by `ganfolio backtest`")
-    p.set_defaults(handler=_cmd_report)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, allow_abbrev=False, help=help_text), name)
     return parser
+
+
+def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    _, add_arguments, handler = _COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(handler=handler)
+
+
+def _ingest_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--data", required=True, help="price CSV path")
+    parser.add_argument("--tickers", default=None, help="comma-separated ticker subset/order")
+
+
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--run", required=True, help="directory produced by `ganfolio backtest`")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser, keys) -> None:
@@ -275,6 +283,29 @@ def _schedule_from_weights_csv(path):
         return WeightSchedule(indices, weights), list(ticker_col)
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from None
+
+
+# each command's help line, argument adder and handler, for both parsers
+_COMMANDS = {
+    "ingest": ("validate a price CSV and print a summary", _ingest_arguments, _cmd_ingest),
+    "train": ("train a model and persist the bundle",
+              partial(_add_config_arguments, keys=(
+                  "data", "tickers", "split_date", "model", "h", "f", "m", "epochs", "lambda1",
+                  "lambda2", "lr", "beta1", "beta2", "seed", "regime", "allow_forward_bias",
+                  "out")),
+              _cmd_train),
+    "simulate": ("draw synthetic paths from a trained bundle",
+                 partial(_add_config_arguments, keys=(
+                     "data", "tickers", "split_date", "bundle", "n_draws", "seed",
+                     "allow_forward_bias", "out")),
+                 _cmd_simulate),
+    "backtest": ("backtest a model (and the Markowitz baseline)",
+                 partial(_add_config_arguments, keys=(
+                     "data", "tickers", "split_date", "model", "bundle", "h", "eta", "n_draws",
+                     "seed", "r_f", "allow_forward_bias", "out")),
+                 _cmd_backtest),
+    "report": ("render SVG plots from a backtest run directory", _report_arguments, _cmd_report),
+}
 
 
 if __name__ == "__main__":

@@ -106,32 +106,23 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
     if len(set(file_tickers)) != len(file_tickers):
         raise ValidationError(f"{path}: duplicate ticker columns")
 
-    dates: list[str] = []
-    values: list[list[float]] = []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-        dates.append(row[0].strip())
-        parsed = []
-        for ticker, cell in zip(file_tickers, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                raise ValidationError(f"{path}: empty cell at row {row_no}, ticker {ticker}")
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: unparseable value {cell!r} at row {row_no}, ticker {ticker}") from None
-            if not math.isfinite(value):
-                kind = "NaN" if math.isnan(value) else "infinite"
-                raise ValidationError(f"{path}: {kind} value at row {row_no}, ticker {ticker}")
-            if value <= 0:
-                raise ValidationError(
-                    f"{path}: non-positive price {value} at row {row_no}, ticker {ticker}")
-            parsed.append(value)
-        values.append(parsed)
-    if not values:
+    body = rows[1:]
+    if not body:
         raise ValidationError(f"{path}: no data rows")
+    # a row at a time, the whole matrix checked at once; where that fails,
+    # the cell-by-cell parse names the first bad cell in row order (or takes
+    # a cell padded with U+001C..U+001F, which str.strip removes and float
+    # does not)
+    values = None
+    if set(map(len, body)) == {len(header)}:
+        try:
+            values = np.array([list(map(float, row[1:])) for row in body], dtype=np.float64)
+        except ValueError:
+            pass
+    if values is not None and ((values > 0) & (values < math.inf)).all():
+        dates = [row[0].strip() for row in body]
+    else:
+        dates, values = _parse_cells(path, header, body)
 
     prices = np.asarray(values, dtype=np.float64).T  # (N, D)
     tickers = list(file_tickers)
@@ -148,6 +139,36 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
         prices = prices[order]
         tickers = expected
     return PriceFrame(tuple(tickers), tuple(dates), prices)
+
+
+def _parse_cells(path, header, body) -> tuple[list[str], list[list[float]]]:
+    """The data rows' dates and prices, parsed a cell at a time; raises
+    ValidationError naming the first bad row or cell in row-major order."""
+    dates: list[str] = []
+    values: list[list[float]] = []
+    for row_no, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+        dates.append(row[0].strip())
+        parsed = []
+        for ticker, cell in zip(header[1:], row[1:]):
+            cell = cell.strip()
+            if not cell:
+                raise ValidationError(f"{path}: empty cell at row {row_no}, ticker {ticker}")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: unparseable value {cell!r} at row {row_no}, ticker {ticker}") from None
+            if not math.isfinite(value):
+                kind = "NaN" if math.isnan(value) else "infinite"
+                raise ValidationError(f"{path}: {kind} value at row {row_no}, ticker {ticker}")
+            if value <= 0:
+                raise ValidationError(
+                    f"{path}: non-positive price {value} at row {row_no}, ticker {ticker}")
+            parsed.append(value)
+        values.append(parsed)
+    return dates, values
 
 
 def write_price_csv(frame: PriceFrame, path) -> None:

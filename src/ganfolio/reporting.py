@@ -14,9 +14,10 @@ same rows: text cells (dates, tickers, epoch and draw numbers) quoted only
 where csv.writer quotes them, floats as their shortest round-trip ``repr``
 (``nan`` marks a missing or not-applicable number), CRLF line ends.
 ``overlay.csv`` holds every generated value, so ``_write_csv`` makes those
-bytes in bulk: it quotes each distinct text cell once and joins the ``repr``
-of each float, with no per-cell numpy indexing and no csv.writer scan of the
-float cells.
+bytes in bulk: it renders each distinct text cell once, as it is when it
+holds none of ``,``, ``"``, ``\r`` and ``\n`` and else through csv.writer,
+and joins the ``repr`` of each float, with no per-cell numpy indexing and no
+csv.writer scan of the float cells.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,9 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 # float cells turned into Python floats at a time (about 2 MiB of objects)
 _BLOCK_CELLS = 1 << 16
+# what csv.writer quotes a text cell for; it writes any other as it is (a
+# row's lone empty cell aside)
+_QUOTED = re.compile(r'[,"\r\n]')
 
 
 def _write_csv(path, header, blocks) -> None:
@@ -52,10 +57,13 @@ def _write_csv(path, header, blocks) -> None:
 
     def quote(cell) -> str:
         if cell not in quoted:
-            scratch.seek(0)
-            scratch.truncate()
-            quoter.writerow(("", cell))  # a later cell, never a row's lone one
-            quoted[cell] = scratch.getvalue()[1:-2]
+            if isinstance(cell, str) and not _QUOTED.search(cell):
+                quoted[cell] = cell
+            else:
+                scratch.seek(0)
+                scratch.truncate()
+                quoter.writerow(("", cell))  # a later cell, never a row's lone one
+                quoted[cell] = scratch.getvalue()[1:-2]
         return quoted[cell]
 
     with Path(path).open("w", newline="") as handle:

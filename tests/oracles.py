@@ -7,19 +7,26 @@ full 0.001-step grid would need ~1.7e8 points; the Sharpe ratio is
 pseudo-concave on the positive-excess region, so refining around the coarse
 optimum cannot miss the global one for positive-definite covariances).
 
+``cell_by_cell_price_csv`` is the price CSV loader as it was before it
+parsed a row at a time: every cell stripped, parsed and checked in turn.
+
 The network reference lives here too: a forward pass and the three training
 losses written on the autodiff tape of ``ganfolio.autodiff``.  It shares no
 forward code with the library's numpy kernels, which the tests check against
 it, and the tape itself is checked against finite differences.
 """
 
+import csv
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 
 from ganfolio import autodiff as ad
 from ganfolio.autodiff import Tensor
-from ganfolio.errors import ValidationError
+from ganfolio.errors import ValidationError, opened
+from ganfolio.marketdata import PriceFrame
 from ganfolio.networks import AdamWorkers, adam_step, build_network
 from ganfolio.normalization import (NormStats, denormalize, fit_standard, make_hybrid_stats,
                                    normalize)
@@ -361,3 +368,61 @@ def tape_training_steps(bundle, norm_window, z, rngs, optim):
                        rng=rngs["discriminator"])
     update("discriminator", bundle.discriminator, ad.gradient(loss, d_params))
     return gen_loss.item(), loss.item()
+
+
+def cell_by_cell_price_csv(path, expected_tickers=None) -> PriceFrame:
+    """``load_price_csv`` as one loop over the cells, in row-major order: the
+    first bad row or cell raises ValidationError with the loader's message."""
+    path = Path(path)
+    with opened(path, "price file") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if not header or header[0] != "date":
+        raise ValidationError(f"{path}: first header column must be 'date', got {header[:1]}")
+    file_tickers = header[1:]
+    if len(set(file_tickers)) != len(file_tickers):
+        raise ValidationError(f"{path}: duplicate ticker columns")
+
+    dates: list[str] = []
+    values: list[list[float]] = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+        dates.append(row[0].strip())
+        parsed = []
+        for ticker, cell in zip(file_tickers, row[1:]):
+            cell = cell.strip()
+            if not cell:
+                raise ValidationError(f"{path}: empty cell at row {row_no}, ticker {ticker}")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: unparseable value {cell!r} at row {row_no}, ticker {ticker}") from None
+            if not math.isfinite(value):
+                kind = "NaN" if math.isnan(value) else "infinite"
+                raise ValidationError(f"{path}: {kind} value at row {row_no}, ticker {ticker}")
+            if value <= 0:
+                raise ValidationError(
+                    f"{path}: non-positive price {value} at row {row_no}, ticker {ticker}")
+            parsed.append(value)
+        values.append(parsed)
+    if not values:
+        raise ValidationError(f"{path}: no data rows")
+
+    prices = np.asarray(values, dtype=np.float64).T  # (N, D)
+    tickers = list(file_tickers)
+    if expected_tickers is not None:
+        expected = list(expected_tickers)
+        repeated = [t for i, t in enumerate(expected) if t in expected[:i]]
+        if repeated:
+            raise ValidationError(f"{path}: ticker {repeated[0]!r} requested more than once")
+        missing = [t for t in expected if t not in file_tickers]
+        if missing:
+            raise ValidationError(
+                f"{path}: requested tickers {missing} not in file; available: {file_tickers}")
+        prices = prices[[file_tickers.index(t) for t in expected]]
+        tickers = expected
+    return PriceFrame(tuple(tickers), tuple(dates), prices)

@@ -75,3 +75,22 @@ def test_needs_paired_runs():
         bench_pairs.summarize([1.0], [1.0], "higher", 0.25)
     with pytest.raises(ValueError, match="two or more pairs"):
         bench_pairs.summarize([1.0, 2.0], [1.0], "higher", 0.25)
+
+
+def test_trace_table_prints_both_sides_and_the_relative_change_in_declared_order():
+    per_layer = [{"name": "cli.backtest.s", "unit": "s", "better": "lower"},
+                 {"name": "absent.s", "unit": "s", "better": "lower"},
+                 {"name": "portfolio.max_sharpe.calls", "unit": "count", "better": "lower"},
+                 {"name": "trace.covered", "unit": "ratio", "better": "higher"}]
+    parent = {"trace.covered": {"value": 0.8, "unit": "ratio"},
+              "cli.backtest.s": {"value": 0.25, "unit": "s"},
+              "portfolio.max_sharpe.calls": {"value": 0, "unit": "count"}}
+    change = {"trace.covered": {"value": 0.9, "unit": "ratio"},
+              "cli.backtest.s": {"value": 0.2, "unit": "s"},
+              "portfolio.max_sharpe.calls": {"value": 3, "unit": "count"},
+              "absent.s": {"value": 1.0, "unit": "s"}}
+    assert bench_pairs.trace_table(parent, change, per_layer) == [
+        "  cli.backtest.s (s, lower is better): 0.25 vs 0.2 (-20.0%)",
+        "  portfolio.max_sharpe.calls (count, lower is better): 0 vs 3 (n/a)",
+        "  trace.covered (ratio, higher is better): 0.8 vs 0.9 (+12.5%)",
+    ]

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import shutil
 import threading
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import ganfolio
+from ganfolio import cli
 from ganfolio.cli import main
 from ganfolio.config import RunConfig, load_run_config, parse_config_text, write_effective_config
 from ganfolio.errors import ValidationError
@@ -279,8 +282,28 @@ def test_negative_seed_exit_2_names_seed(data_csv, trained_run, tmp_path, capsys
 
 
 class TestUnreadableInputs:
-    """An input that is a directory or is not UTF-8 exits 2 naming the file,
-    and writes no --out."""
+    """An input that is a directory, is not UTF-8 or holds a CSV cell longer
+    than ``csv.field_size_limit()`` exits 2 naming the file, and writes no --out."""
+
+    OVERSIZED = csv.field_size_limit() + 1
+
+    def oversized_error(self, path, what):
+        return ("", f"error: {path}: cannot parse {what}: field larger than field limit "
+                    f"({csv.field_size_limit()})\n")
+
+    def test_oversized_price_csv_cell_exit_2(self, data_csv, tmp_path, capsys):
+        big = tmp_path / "prices.csv"
+        big.write_text(data_csv.read_text() + f'2030-01-01,"{"1" * self.OVERSIZED}",1\n')
+        assert main(["ingest", "--data", str(big)]) == 2
+        assert capsys.readouterr() == self.oversized_error(big, "price file")
+
+    def test_oversized_report_csv_cell_exit_2(self, run_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        with (run / "value_series.csv").open("a") as handle:
+            handle.write(f'"{"x" * self.OVERSIZED}",1,1\r\n')
+        assert main(["report", "--run", str(run)]) == 2
+        assert capsys.readouterr() == self.oversized_error(run / "value_series.csv", "CSV")
 
     def test_non_utf8_price_csv_exit_2(self, data_csv, tmp_path, capsys):
         bad = tmp_path / "prices.csv"
@@ -458,6 +481,39 @@ class TestSimulateCommand:
                      "--n-draws", "1", "--out", str(tmp_path / "sim")])
         assert code == 2
         assert "truncate" in capsys.readouterr().err
+
+
+def full_parser_result(argv):
+    """stdout, stderr and exit code of the full command tree parsing ``argv``,
+    for an ``argv`` that it rejects or that names no command."""
+    parser = cli._build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exited:
+            code = exited.code
+        else:
+            assert args.command is None
+            parser.print_help()
+            code = 2
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"],
+    *([command, "-h"] for command in ("ingest", "train", "simulate", "backtest", "report")),
+    ["bogus"], ["backtest", "--bogus", "1"], ["backtest", "--h", "x"], ["ingest"],
+    ["train", "--dat", "x"],
+], ids=lambda argv: " ".join(argv) or "no_arguments")
+def test_output_and_exit_code_equal_the_full_parsers(argv, capsys):
+    # main parses a named command with that command's parser alone
+    try:
+        code = main(argv)
+    except SystemExit as exited:
+        code = exited.code
+    out, err = capsys.readouterr()
+    assert (out, err, code) == full_parser_result(argv)
 
 
 class TestFlagPrefixes:

@@ -7,6 +7,7 @@ from ganfolio.marketdata import (PriceFrame, extract_window, inference_index_set
                                  training_index_set, write_price_csv)
 
 from conftest import make_frame
+from oracles import cell_by_cell_price_csv
 
 
 def write_csv(path, text):
@@ -41,6 +42,32 @@ class TestLoadPriceCsv:
                          f"date,A,B\n2020-01-01,1,2\n2020-01-02,2,{cell}\n")
         with pytest.raises(ValidationError, match=r"infinite value at row 3, ticker B"):
             load_price_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1,2", "nan,2", "3,4", "x,5"], "NaN value at row 3, ticker A"),
+        (["1,2", "2,-1", "3"], "non-positive price -1.0 at row 3, ticker B"),
+    ], ids=["nan_before_text", "non_positive_before_short_row"])
+    def test_first_fault_in_row_order_is_named(self, tmp_path, rows, message):
+        text = "date,A,B\n" + "".join(f"2020-01-{day:02d},{row}\n"
+                                       for day, row in enumerate(rows, start=1))
+        path = write_csv(tmp_path / "p.csv", text)
+        with pytest.raises(ValidationError) as raised:
+            load_price_csv(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    def test_cells_parse_to_the_cell_by_cell_values(self, tmp_path):
+        # float() strips the same whitespace as str.strip(), except
+        # U+001C..U+001F, which only str.strip() removes
+        path = write_csv(tmp_path / "p.csv",
+                         "date,A,B,C,D,E\n"
+                         "2020-01-01, 1.5 ,1_000,+2,1e3,\u20037\t\n"
+                         "2020-01-02,2,3,4,5,6\x1c\n")
+        frame = load_price_csv(path)
+        assert frame.prices[:, 0].tolist() == [1.5, 1000.0, 2.0, 1000.0, 7.0]
+        assert frame.prices[:, 1].tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
+        reference = cell_by_cell_price_csv(path)
+        assert frame.dates == reference.dates
+        assert frame.prices.tobytes() == reference.prices.tobytes()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):

@@ -81,7 +81,9 @@ def test_writer_takes_path_first_and_writes_exact_bytes(tmp_path, name):
 # oracle: every export equals csv.writer on the same rows with repr floats
 # ---------------------------------------------------------------------------
 
-AWKWARD = ("a,b", 'say "x"', "cr\rend", "new\nline", "", " lead")
+# the first four need quotes; the rest are written as they are
+AWKWARD = ("a,b", 'say "x"', "cr\rend", "new\nline", "", " lead", "2001-03-18", "tab\tcell",
+           "line\u2028separator", "nul\0cell")
 VALUES = (NAN, float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2)
 
 
@@ -143,6 +145,7 @@ def oracle_scatter():
 
 def oracle_weights():
     row = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 0.7 - 1e-5, -1e-10]
+    row += [0.0] * (len(AWKWARD) - len(row))
     schedule = WeightSchedule((1, 3, 6), np.array([row, row[::-1], row[2:] + row[:2]]))
     dates = AWKWARD
     rows = [[dates[day - 1], ticker, fmt(schedule.weights[i, j])]

@@ -2,7 +2,7 @@
 """Compare two checkouts on perfbench in alternating pairs of runs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seed S --pairs N
+        --seed S --pairs N [--trace]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once
 in each checkout, with ``T`` the ``run_seconds`` of the change's
@@ -18,8 +18,11 @@ better than every run of the parent, which is reported as "better in every
 run".  A line of its own says whether the runs support a claim that the
 change improved the metric: the change must win at least nine tenths of the
 pairs, a tie counting for neither side, and the medians must differ by more
-than the parent's quartile spread.  Nothing is written to either checkout
-beyond what perfbench itself writes.
+than the parent's quartile spread.  With ``--trace``, one ``--trace 1`` run
+per checkout follows the pairs, and each per-layer metric that
+``BENCHMARK.json`` declares is printed for both sides with its relative
+change.  Nothing is written to either checkout beyond what perfbench itself
+writes.
 """
 
 from __future__ import annotations
@@ -60,15 +63,45 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
             "claim": claimed}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def trace_table(parent: dict, change: dict, per_layer: list[dict]) -> list[str]:
+    """One line per declared per-layer metric that both traced runs report:
+    the parent's value, the change's and the relative change ("n/a" from 0).
+
+    ``parent`` and ``change`` are the ``metrics`` of a ``--trace 1`` result;
+    ``per_layer`` is ``BENCHMARK.json``'s list, in whose order lines appear.
+    """
+    lines = []
+    for metric in per_layer:
+        name = metric["name"]
+        if name in parent and name in change:
+            p, c = parent[name]["value"], change[name]["value"]
+            relative = f"{(c - p) / p:+.1%}" if p else "n/a"
+            lines.append(f"  {name} ({metric['unit']}, {metric['better']} is better): "
+                         f"{p:.4g} vs {c:.4g} ({relative})")
+    return lines
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
     """The last stdout line of one perfbench run: its JSON result."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(int(trace))],
                           cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: perfbench exited {done.returncode}:\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+def checked_run(args, side: str, seconds: float, label: str, trace: bool = False) -> dict:
+    """The metrics of one perfbench run in ``side``'s checkout, which must pass
+    its checks with no failed operation."""
+    result = run_once(getattr(args, side), args.workload, args.seed, seconds, trace)
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{label}, {side}: check failed or operations failed: "
+                         f"{json.dumps(result)}")
+    return result["metrics"]
 
 
 def main(argv=None) -> int:
@@ -78,6 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", action="store_true",
+                        help="then one traced run per checkout, per-layer metrics side by side")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
@@ -86,11 +121,7 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
-            if not result["correct"] or result["failed"]:
-                raise SystemExit(f"pair {pair}, {side}: check failed or operations failed: "
-                                 f"{json.dumps(result)}")
-            runs[side].append(result["metrics"])
+            runs[side].append(checked_run(args, side, seconds, f"pair {pair}"))
         print(f"pair {pair}: " + ", ".join(
             f"{m['name']} {runs['parent'][-1][m['name']]['value']:.4g} vs "
             f"{runs['change'][-1][m['name']]['value']:.4g}" for m in metrics), flush=True)
@@ -112,6 +143,14 @@ def main(argv=None) -> int:
               f"medians {abs(s['change'][0] - s['parent'][0]):.4g} apart "
               f"(needs over the parent's quartile spread, "
               f"{s['parent'][2] - s['parent'][1]:.4g})")
+
+    if args.trace:
+        traced = {side: checked_run(args, side, seconds, "traced run", trace=True)
+                  for side in ("parent", "change")}
+        print(f"{args.workload}, seed {args.seed}, one --trace 1 run per checkout; per-layer "
+              f"metrics per round, parent vs change")
+        print("\n".join(trace_table(traced["parent"], traced["change"],
+                                    benchmark["per_layer"])))
     return 0
 
 
