@@ -143,7 +143,7 @@ def _require_out(config: RunConfig) -> Path:
     if not config.out:
         raise ValidationError("no output directory configured (set out= or --out)")
     out = Path(config.out)
-    nearest = next(p for p in (out.absolute(), *out.absolute().parents) if p.exists())
+    nearest = next(p for p in (out.absolute(), *out.absolute().parents) if os.path.lexists(p))
     if not nearest.is_dir():
         raise ValidationError(f"output directory {out}: {nearest} is not a directory")
     if not os.access(nearest, os.W_OK | os.X_OK):

@@ -380,26 +380,26 @@ def mse_gradients(net: MlpNetwork, x: np.ndarray, target: np.ndarray,
     return loss, parameter_gradients(deltas, cache.inputs, net.gradients())
 
 
-def _queue(net: MlpNetwork, state: AdamState, workers: AdamWorkers) -> None:
-    """Queue one Adam step of ``net`` along the gradients its kernels last wrote."""
-    workers.submit(net.flat, net.grad, state, net.role)
-
-
 def generator_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, rngs,
                    optim: dict[str, AdamState], workers: AdamWorkers) -> tuple[float, float]:
     """One Adam update of the generator side on one window and latent vector.
 
     Only conditioner/simulator (and decoder for autoencoding kinds)
-    parameters change.  Each network's update is queued on ``workers`` as
+    parameters change.  Each network's update is submitted to ``workers`` as
     soon as its gradients are complete, so it runs while the remaining
-    backward passes do; the step returns without waiting for them.  Returns
-    (generator loss, AP term or nan).
+    backward passes do; the step returns once every update is applied.
+    Returns (generator loss, AP term or nan).
     """
     masks = {name: sample_dropout_masks(net, rngs.get(name), 1)
              for name, net in _trainable_nets(bundle).items()}
-    loss, ap, _ = generator_gradients(
-        bundle, norm_window, z, masks,
-        lambda name: _queue(getattr(bundle, name), optim[name], workers))
+    updates = []
+
+    def written(name):
+        net = getattr(bundle, name)
+        updates.append(workers.submit(net.flat, net.grad, optim[name], net.role))
+
+    loss, ap, _ = generator_gradients(bundle, norm_window, z, masks, written)
+    workers.wait(*updates)
     return loss, ap
 
 
@@ -408,12 +408,10 @@ def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, r
     """One Adam update of the critic on one window and latent vector.
 
     The fake window is regenerated forward-only with the current generator
-    (the step after the generator update, matching the training loop order),
-    so the updates queued on ``workers`` are waited for first; only
-    discriminator parameters change.  The critic's update is queued and not
-    waited for.  Returns the critic loss value.
+    (the step after the generator update, matching the training loop order);
+    only discriminator parameters change, and the step returns once they
+    have.  Returns the critic loss value.
     """
-    workers.wait()
     fake_window = _fake_window(bundle, norm_window, z, {
         name: sample_dropout_masks(getattr(bundle, name), rngs.get(name), 1)
         for name in ("conditioner", "simulator")})[0]
@@ -423,7 +421,8 @@ def critic_step(bundle: ModelBundle, norm_window: WindowSample, z: np.ndarray, r
     masks = sample_dropout_masks(bundle.discriminator, rngs.get("discriminator"), 3)
     loss, _, _ = critic_gradients(bundle.discriminator, norm_window.full, fake_window, eps,
                                   bundle.config.lambda1, masks)
-    _queue(bundle.discriminator, optim["discriminator"], workers)
+    critic = bundle.discriminator
+    adam_step(critic.flat, critic.grad, optim["discriminator"], workers, critic.role)
     return loss
 
 
@@ -500,7 +499,6 @@ def train(train_frame: PriceFrame, config: TrainConfig) -> ModelBundle:
                                                        workers)
                     critic_losses.append(critic_step(bundle, norm_window, z, rngs, optim,
                                                      workers))
-                    workers.wait()
                 except NumericFault as fault:
                     raise NumericFault(f"training diverged at epoch {epoch}, window start "
                                        f"{start}: {fault}") from fault

@@ -105,6 +105,9 @@ def load_price_csv(path, expected_tickers=None) -> PriceFrame:
     file_tickers = header[1:]
     if len(set(file_tickers)) != len(file_tickers):
         raise ValidationError(f"{path}: duplicate ticker columns")
+    broken = [t for t in file_tickers if "\r" in t or "\n" in t]
+    if broken:
+        raise ValidationError(f"{path}: ticker {broken[0]!r} holds a line break")
 
     body = rows[1:]
     if not body:

@@ -538,23 +538,23 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 class AdamWorkers:
     """The program's thread pool: Adam blocks and other independent calls.
 
-    :meth:`submit` gives each block of one Adam step its own future and
-    returns at once; :meth:`map` spreads calls such as simulator chunks.  A
-    pool of one thread per usable CPU beyond the first runs them; a caller
-    in :meth:`wait` or :meth:`map` runs every one no pool thread has started
-    (one whose ``cancel()`` succeeds) and then waits for the rest, so the
-    waiter still makes progress while every pool thread is busy.  On one CPU
-    there is no pool, and everything runs in the caller.  Each thread keeps
-    its own block-sized scratch rows.  Use it as a context manager: inside,
-    numpy's bundled OpenBLAS runs one thread, so the pool's threads do not
-    contend with its own and results do not depend on its thread count;
-    leaving waits for every submitted update, shuts the pool down and
-    restores the caller's BLAS thread count.
+    :meth:`submit` gives each block of one Adam step its own future;
+    :meth:`map` spreads calls such as simulator chunks.  A pool of one thread
+    per usable CPU beyond the first runs them; a caller in :meth:`wait` or
+    :meth:`map` runs every one no pool thread has started (one whose
+    ``cancel()`` succeeds) and then waits for the rest, so the waiter still
+    makes progress while every pool thread is busy.  On one CPU there is no
+    pool, and everything runs in the caller as it is submitted.  Each thread
+    keeps its own block-sized scratch rows.  The workers keep no update
+    between calls: whoever submits one waits for it.  Use it as a context
+    manager: inside, numpy's bundled OpenBLAS runs one thread, so the pool's
+    threads do not contend with its own and results do not depend on its
+    thread count; leaving shuts the pool down, which lets every queued block
+    finish, and restores the caller's BLAS thread count.
     """
 
     def __init__(self):
         self._local = threading.local()
-        self._unsettled: list[AdamUpdate] = []
         # sched_getaffinity is Linux-only; elsewhere every CPU counts as usable
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -564,8 +564,9 @@ class AdamWorkers:
                name: str | None = None) -> AdamUpdate:
         """Submit one Adam step of the flat buffer ``params`` along ``grads``.
 
-        The buffers must not be touched until the step is waited for.  A
-        fault's message starts with ``name`` when one is given.
+        The buffers must not be touched until the step is waited for; with no
+        pool it is applied before this returns.  A fault's message starts with
+        ``name`` when one is given, and only :meth:`wait` raises it.
         """
         size = state.first_moment.size
         if params.shape != (size,) or grads.shape != (size,):
@@ -573,20 +574,19 @@ class AdamWorkers:
                                   f"{grads.shape} and state ({size},) buffers do not fit")
         state.step_count += 1
         update = AdamUpdate(params, grads, state, name)
-        update.blocks = [self._pool.submit(self._run, update, lo) if self._pool else Future()
+        update.blocks = [self._pool.submit(self._run, update, lo) if self._pool
+                         else _done(functools.partial(self._run, update, lo))
                          for lo in range(0, size, ADAM_BLOCK)]
-        self._unsettled.append(update)
         return update
 
-    def wait(self, update: AdamUpdate | None = None) -> None:
-        """Settle ``update``, or by default every update submitted and not yet
-        waited for.  Then raise the exception or NumericFault of the first of
-        them, in submission order, whose blocks raised or found one."""
-        updates = self._unsettled if update is None else [update]
-        self._settle_updates(updates)
-        self._unsettled = [each for each in self._unsettled if each not in updates]
-        for each in updates:
-            fault = each.fault()
+    def wait(self, *updates: AdamUpdate) -> None:
+        """Settle ``updates`` together, so the waiter helps across all of
+        them.  Then raise the exception or NumericFault of the first of them,
+        in argument order, whose blocks raised or found one."""
+        self._settle([(update.blocks, i, functools.partial(self._run, update, i * ADAM_BLOCK))
+                      for update in updates for i in range(len(update.blocks))])
+        for update in updates:
+            fault = update.fault()
             if fault is not None:
                 raise fault
 
@@ -605,10 +605,6 @@ class AdamWorkers:
                       for i, item in enumerate(items)])
         return [future.result() for future in futures]
 
-    def _settle_updates(self, updates: list[AdamUpdate]) -> None:
-        self._settle([(update.blocks, i, functools.partial(self._run, update, i * ADAM_BLOCK))
-                      for update in updates for i in range(len(update.blocks))])
-
     @staticmethod
     def _settle(calls) -> None:
         """Run here every call that no pool thread has started, in place of its
@@ -616,11 +612,7 @@ class AdamWorkers:
         is the work ``fn()`` of ``futures[i]``."""
         for futures, i, fn in calls:
             if futures[i].cancel():
-                futures[i] = here = Future()
-                try:
-                    here.set_result(fn())
-                except BaseException as err:  # raised again by its reader, after every call
-                    here.set_exception(err)
+                futures[i] = _done(fn)
         futures_wait([futures[i] for futures, i, _ in calls])
 
     def _run(self, update: AdamUpdate, lo: int):
@@ -634,21 +626,27 @@ class AdamWorkers:
         _ONE_BLAS_THREAD.__enter__()
         return self
 
-    def __exit__(self, exc_type, *_) -> None:
+    def __exit__(self, *_) -> None:
         try:
-            if exc_type is None:
-                self.wait()
-        finally:
-            self._settle_updates(self._unsettled)
-            self._unsettled = []
             if self._pool is not None:
                 self._pool.shutdown()
+        finally:
             _ONE_BLAS_THREAD.__exit__()
+
+
+def _done(fn) -> Future:
+    """A done future holding what ``fn()`` returned or raised."""
+    future = Future()
+    try:
+        future.set_result(fn())
+    except BaseException as err:  # raised again by the future's reader
+        future.set_exception(err)
+    return future
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               workers: AdamWorkers, name: str | None = None) -> None:
-    """One Adam update of the flat buffer ``params``, in place: queue it, then wait.
+    """One Adam update of the flat buffer ``params``, in place: submit it, then wait.
 
     Raises NumericFault on a non-finite gradient, or on a gradient whose
     square overflows (any entry above about 1.3e154), naming the lowest

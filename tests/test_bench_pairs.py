@@ -77,6 +77,16 @@ def test_needs_paired_runs():
         bench_pairs.summarize([1.0, 2.0], [1.0], "higher", 0.25)
 
 
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_exit_2_before_any_run(pairs, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "train",
+                          "--seed", "1", "--pairs", pairs])
+    assert exited.value.code == 2
+    assert f"--pairs must be 2 or more, got {pairs}" in capsys.readouterr().err
+
+
 def test_trace_table_prints_both_sides_and_the_relative_change_in_declared_order():
     per_layer = [{"name": "cli.backtest.s", "unit": "s", "better": "lower"},
                  {"name": "absent.s", "unit": "s", "better": "lower"},

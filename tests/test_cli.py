@@ -230,17 +230,22 @@ def test_rejected_simulate_or_backtest_creates_no_out_directory(data_csv, traine
 
 
 @pytest.mark.parametrize("command", ["train", "simulate", "backtest"])
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("blocked", ["file", "under_file", "dangling_link",
+                                     "under_dangling_link"])
 def test_out_that_cannot_be_a_directory_exit_2_before_the_work(data_csv, trained_run, tmp_path,
                                                                capsys, monkeypatch, command,
-                                                               under):
+                                                               blocked):
     # refused before the work starts, not after it with the results lost
     for work in ("train", "simulate_paths", "run_experiment"):
         monkeypatch.setattr(f"ganfolio.cli.{work}",
                             lambda *args, **kwargs: pytest.fail("the work started"))
-    blocker = tmp_path / "file"
-    blocker.write_text("kept\n")
-    out = blocker / "run" if under else blocker
+    if blocked.endswith("file"):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+    else:
+        blocker = tmp_path / "link"
+        blocker.symlink_to(tmp_path / "nowhere" / "deeper")
+    out = blocker / "run" if blocked.startswith("under") else blocker
     bundle = ["--bundle", str(trained_run / "bundle.gfa")]
     flags = {"train": ["--model", "cgan", *TRAIN_FLAGS],
              "simulate": bundle,
@@ -249,7 +254,10 @@ def test_out_that_cannot_be_a_directory_exit_2_before_the_work(data_csv, trained
                  "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: output directory {out}: {blocker} is not a "
                                        f"directory\n")
-    assert blocker.read_text() == "kept\n"
+    if blocked.endswith("file"):
+        assert blocker.read_text() == "kept\n"
+    else:
+        assert not (tmp_path / "nowhere").exists()
 
 
 @pytest.mark.parametrize("command", ["ingest", "train", "backtest"])

@@ -1,4 +1,5 @@
 import copy
+import os
 import re
 import threading
 import warnings
@@ -13,8 +14,8 @@ from ganfolio.errors import NumericFault, ValidationError
 from ganfolio.gan import (TrainConfig, build_bundle, load_bundle, propose_mean, save_bundle,
                           simulate_paths, train, train_proposer, window_stats)
 from ganfolio.marketdata import WindowSample, extract_window
-from ganfolio.networks import (AdamWorkers, LayerSpec, MlpNetwork, build_network, forward,
-                               load_networks, sample_dropout_masks, save_networks)
+from ganfolio.networks import (AdamUpdate, AdamWorkers, LayerSpec, MlpNetwork, build_network,
+                               forward, load_networks, sample_dropout_masks, save_networks)
 from ganfolio.normalization import fit_standard, make_hybrid_stats, normalize
 
 from conftest import TINY, adam_state, make_frame, reduce_hybrid_to_plain, sinusoid_frame
@@ -251,6 +252,46 @@ class TestSteps:
             generator_step(bundle, window, np.zeros(config.m), rngs, optim, workers)
         assert all(np.array_equal(p, q)
                    for p, q in zip(disc_before, bundle.discriminator.parameters()))
+
+    @pytest.mark.parametrize("step", ["generator_step", "critic_step"])
+    def test_a_step_returns_with_every_block_of_its_updates_done(self, tiny_frame, monkeypatch,
+                                                                 step):
+        # one pool thread, held inside the first block it takes until a timer releases it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        release = threading.Event()
+        run_block = AdamUpdate.run_block
+
+        def hold_the_pool_thread(update, *args):
+            if threading.current_thread() is not threading.main_thread():
+                release.wait()
+            return run_block(update, *args)
+
+        monkeypatch.setattr(AdamUpdate, "run_block", hold_the_pool_thread)
+        updates = []
+
+        class Recorded(AdamWorkers):
+            def submit(self, *args, **kwargs):
+                updates.append(super().submit(*args, **kwargs))
+                return updates[-1]
+
+        config = TrainConfig(model_kind="acgan", epochs=1, seed=0, **TINY)
+        bundle = build_bundle(config, tiny_frame.tickers)
+        rngs = {name: np.random.default_rng(i) for i, name in
+                enumerate(("conditioner", "simulator", "discriminator", "decoder", "eps"))}
+        optim = {name: adam_state(net.parameters(), config)
+                 for name, net in gan._trainable_nets(bundle).items()}
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            with Recorded() as workers:
+                getattr(gan, step)(bundle, normalized_window(tiny_frame, config),
+                                   np.zeros(config.m), rngs, optim, workers)
+                done = [block.done() and not block.cancelled()
+                        for update in updates for block in update.blocks]
+        finally:
+            release.set()
+            timer.cancel()
+        assert len(updates) == (3 if step == "generator_step" else 1) and all(done)
 
 
 class TestProposer:

@@ -150,6 +150,32 @@ def fresh_training_state(bundle):
     return nets, rngs, optim
 
 
+@pytest.mark.parametrize("kind", ["cgan", "acgan"])
+def test_a_written_network_is_not_read_again(kind):
+    """After ``written(name)`` the pass reads neither that network's
+    parameters nor its gradients, so its update may run at once."""
+    runs = []
+    for poison in (False, True):
+        bundle, window = setting(kind, "toy")
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(bundle.config.m)
+        masks = {name: sample_dropout_masks(getattr(bundle, name), rng, 1)
+                 for name in generator_names(bundle) + ["discriminator"]}
+        copies = {}
+
+        def written(name):
+            net = getattr(bundle, name)
+            copies[name] = net.grad.copy()
+            if poison:
+                net.flat[...] = np.nan
+                net.grad[...] = np.nan
+
+        loss, ap, _ = generator_gradients(bundle, window, z, masks, written)
+        runs.append([np.float64(loss).tobytes(), np.float64(ap).tobytes()]
+                    + [copies[name].tobytes() for name in generator_names(bundle)])
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_training_steps_match_tape_step(kind):
     """The steps draw every dropout mask and eps in the tape's order."""

@@ -43,6 +43,13 @@ class TestLoadPriceCsv:
         with pytest.raises(ValidationError, match=r"infinite value at row 3, ticker B"):
             load_price_csv(path)
 
+    def test_ticker_with_a_line_break_is_named_by_its_repr(self, tmp_path):
+        # one error line, whatever cell faults below; no line break reaches an output
+        path = write_csv(tmp_path / "p.csv", 'date,A,"B\nC"\n2020-01-01,1,\n')
+        with pytest.raises(ValidationError) as raised:
+            load_price_csv(path)
+        assert str(raised.value) == f"{path}: ticker 'B\\nC' holds a line break"
+
     @pytest.mark.parametrize("rows, message", [
         (["1,2", "nan,2", "3,4", "x,5"], "NaN value at row 3, ticker A"),
         (["1,2", "2,-1", "3"], "non-positive price -1.0 at row 3, ticker B"),

@@ -302,7 +302,7 @@ class TestAdam:
                 for _ in range(20):
                     for p, g, state in zip(params, grads, states):
                         updates.append(workers.submit(p, g, state))
-                    workers.wait()
+                    workers.wait(*updates[-len(sizes):])
             out.extend(params)
             out.append(all(block.done() and not block.cancelled()
                            for update in updates for block in update.blocks))
@@ -350,6 +350,46 @@ class TestAdam:
         finally:
             release.set()
             timeout.cancel()
+
+    @pytest.mark.filterwarnings("error")
+    def test_with_no_pool_submit_applies_the_update(self, monkeypatch):
+        # the second block's gradient is not finite; only a wait would raise that
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        params, grads = np.zeros(2 * ADAM_BLOCK), np.ones(2 * ADAM_BLOCK)
+        grads[-1] = np.inf
+        with AdamWorkers() as workers:
+            workers.submit(params, grads, adam_state([params]))
+            assert np.all(params[:ADAM_BLOCK] < 0.0) and np.all(params[ADAM_BLOCK:] == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_leaving_applies_an_update_nobody_waited_for_and_raises_nothing(self, monkeypatch):
+        # one pool thread, held inside update A's block until a timer releases
+        # it, so that update B is still queued when the block is left
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        held, release = threading.Event(), threading.Event()
+        run_block = AdamUpdate.run_block
+
+        def hold_the_first_block(update, *args):
+            if not held.is_set():
+                held.set()
+                release.wait()
+            return run_block(update, *args)
+
+        monkeypatch.setattr(AdamUpdate, "run_block", hold_the_first_block)
+        a, b = np.zeros(5), np.zeros(2 * ADAM_BLOCK)
+        grads = np.ones(b.size)
+        grads[-1] = np.inf  # B's second block finds a fault that nobody waits for
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            with AdamWorkers() as workers:
+                workers.submit(a, np.ones(5), adam_state([a]))
+                assert held.wait(timeout=30.0)
+                workers.submit(b, grads, adam_state([b]))
+        finally:
+            release.set()
+            timer.cancel()
+        assert np.all(a < 0.0) and np.all(b[:ADAM_BLOCK] < 0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_an_exception_in_a_block_reaches_the_waiter(self):

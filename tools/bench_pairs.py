@@ -110,10 +110,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="the change's checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="two or more")
     parser.add_argument("--trace", action="store_true",
                         help="then one traced run per checkout, per-layer metrics side by side")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be 2 or more, got {args.pairs}")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
