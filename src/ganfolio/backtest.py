@@ -83,7 +83,8 @@ def rebalance_days(day_count: int, h: int, eta: int) -> tuple[int, ...]:
 
 def strategy_from_paths(paths: np.ndarray, test_frame: PriceFrame, eta: int,
                         r_f: float = 0.0, *, h: int, f: int) -> list[WeightSchedule]:
-    """Per-draw max-Sharpe schedules computed on the synthetic paths.
+    """Per-draw max-Sharpe schedules computed on the synthetic paths, above
+    the annual risk-free rate ``r_f``.
 
     At each rebalance day t the moments come from the draw's generated
     block(s): the block whose span contains t, extended with following blocks
@@ -106,6 +107,8 @@ def _schedule(paths: np.ndarray, days: tuple[int, ...], spans: list[tuple[int, i
     """Max-Sharpe weights of each (N, K) price path of ``paths`` at each rebalance day.
 
     Day ``days[j]`` allocates over its 1-based [start, stop] price span ``spans[j]``.
+    ``r_f`` is annual: daily mean returns are compared with
+    ``r_f / TRADING_DAYS_PER_YEAR``, the daily rate that scoring subtracts.
 
     Every strategy, generated or Markowitz, allocates through here.  A span
     shared by several days is solved once, and the problems of every path
@@ -117,7 +120,8 @@ def _schedule(paths: np.ndarray, days: tuple[int, ...], spans: list[tuple[int, i
     solved = {}
     for group in by_length.values():
         stack = np.stack([paths[:, :, start - 1:stop] for start, stop in group], axis=1)
-        weights = max_sharpe_weights(estimate_moments(simple_returns(stack)), r_f)
+        weights = max_sharpe_weights(estimate_moments(simple_returns(stack)),
+                                     r_f / TRADING_DAYS_PER_YEAR)
         solved.update(zip(group, np.swapaxes(weights, 0, 1)))
     return [WeightSchedule(days, w) for w in np.stack([solved[span] for span in spans], axis=1)]
 
@@ -180,7 +184,8 @@ def portfolio_value_series(schedule: WeightSchedule, frame: PriceFrame) -> tuple
 
 def annualized_metrics(values, r_f: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Annual return, annual Sharpe ratio and degenerate flag of each daily
-    value series along the last axis of ``values``.
+    value series along the last axis of ``values``, above the annual
+    risk-free rate ``r_f``.
 
     Uses population std of daily returns; a (near-)zero std yields Sharpe 0
     with the degenerate flag set instead of a division blow-up.  Each row's
@@ -204,7 +209,8 @@ def annualized_metrics(values, r_f: float = 0.0) -> tuple[np.ndarray, np.ndarray
 
 def markowitz_schedule(test_frame: PriceFrame, eta: int, h: int,
                        r_f: float = 0.0) -> WeightSchedule:
-    """Rolling-window baseline: optimize over the trailing h real days."""
+    """Rolling-window baseline: optimize over the trailing h real days, above
+    the annual risk-free rate ``r_f``."""
     days = rebalance_days(test_frame.day_count, h, eta)
     if h < 3:
         raise ValidationError(f"need at least 3 trailing prices (2 returns), got {h}")

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +28,13 @@ from .reporting import (read_csv_columns, svg_line_chart, svg_scatter,
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    if args is None:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
         return 2
     try:
         return args.handler(args)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except NumericFault as err:
         print(f"numeric fault: {err}", file=sys.stderr)
         return 3
@@ -44,30 +43,9 @@ def main(argv=None) -> int:
         return 2
 
 
-def _parse_args(argv: list[str]):
-    """``argv`` parsed, or None after printing the help when it names no command.
-
-    A named command is parsed by a parser of its own arguments alone, since
-    building every command's parser is most of the cost of a parse.  The
-    full parser takes everything else, with the same output and exit code:
-    no command, a top-level flag, an unknown command, and arguments the
-    command leaves unrecognized, which argparse reports at the top level.
-    """
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"ganfolio {argv[0]}", allow_abbrev=False)
-        _add_command_arguments(parser, argv[0])
-        args, unrecognized = parser.parse_known_args(argv[1:])
-        if not unrecognized:
-            return args
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return None
-    return args
-
-
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The full command tree, built once per process and reused by every parse."""
     parser = argparse.ArgumentParser(
         prog="ganfolio",
         description="Adversarial market-scenario generation and max-Sharpe backtesting",
@@ -75,24 +53,38 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ganfolio {__version__}")
     sub = parser.add_subparsers(dest="command")
     parser.set_defaults(command=None)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command_arguments(sub.add_parser(name, allow_abbrev=False, help=help_text), name)
+
+    p = sub.add_parser("ingest", allow_abbrev=False,
+                       help="validate a price CSV and print a summary")
+    p.add_argument("--data", required=True, help="price CSV path")
+    p.add_argument("--tickers", default=None, help="comma-separated ticker subset/order")
+    p.set_defaults(handler=_cmd_ingest)
+
+    p = sub.add_parser("train", allow_abbrev=False,
+                       help="train a model and persist the bundle")
+    _add_config_arguments(p, ("data", "tickers", "split_date", "model", "h", "f", "m",
+                              "epochs", "lambda1", "lambda2", "lr", "beta1", "beta2",
+                              "seed", "regime", "allow_forward_bias", "out"))
+    p.set_defaults(handler=_cmd_train)
+
+    p = sub.add_parser("simulate", allow_abbrev=False,
+                       help="draw synthetic paths from a trained bundle")
+    _add_config_arguments(p, ("data", "tickers", "split_date", "bundle", "n_draws",
+                              "seed", "allow_forward_bias", "out"))
+    p.set_defaults(handler=_cmd_simulate)
+
+    p = sub.add_parser("backtest", allow_abbrev=False,
+                       help="backtest a model (and the Markowitz baseline)")
+    _add_config_arguments(p, ("data", "tickers", "split_date", "model", "bundle", "h",
+                              "eta", "n_draws", "seed", "r_f", "allow_forward_bias",
+                              "out"))
+    p.set_defaults(handler=_cmd_backtest)
+
+    p = sub.add_parser("report", allow_abbrev=False,
+                       help="render SVG plots from a backtest run directory")
+    p.add_argument("--run", required=True, help="directory produced by `ganfolio backtest`")
+    p.set_defaults(handler=_cmd_report)
     return parser
-
-
-def _add_command_arguments(parser: argparse.ArgumentParser, name: str) -> None:
-    _, add_arguments, handler = _COMMANDS[name]
-    add_arguments(parser)
-    parser.set_defaults(handler=handler)
-
-
-def _ingest_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", required=True, help="price CSV path")
-    parser.add_argument("--tickers", default=None, help="comma-separated ticker subset/order")
-
-
-def _report_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--run", required=True, help="directory produced by `ganfolio backtest`")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser, keys) -> None:
@@ -105,7 +97,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser, keys) -> None:
         else:
             kind = RunConfig.__dataclass_fields__[key].type
             caster = {"int": int, "float": float}.get(kind, str)
-            parser.add_argument(flag, type=caster, default=None, dest=key)
+            parser.add_argument(flag, type=caster, default=None, dest=key,
+                                help="annual risk-free rate in [-1, 1]" if key == "r_f" else None)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -115,13 +108,13 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _load_frames(config: RunConfig):
+    """The (training, test) frames; with no ``split_date``, (None, the whole file)."""
     if not config.data:
         raise ValidationError("no data file configured (set data= or --data)")
     frame = load_price_csv(config.data, config.ticker_list())
     if not config.split_date:
-        return frame, None, frame
-    train_frame, test_frame = split_train_test(frame, config.split_date)
-    return frame, train_frame, test_frame
+        return None, frame
+    return split_train_test(frame, config.split_date)
 
 
 def _load_bundle(config: RunConfig):
@@ -162,7 +155,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     train_config = config.train_config()
-    _, train_frame, _ = _load_frames(config)
+    train_frame, _ = _load_frames(config)
     if train_frame is None:
         raise ValidationError("training needs split_date= so a training segment exists")
     out = _require_out(config)
@@ -179,7 +172,7 @@ def _cmd_train(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     bundle = _load_bundle(config)
-    _, _, test_frame = _load_frames(config)
+    _, test_frame = _load_frames(config)
     out = _require_out(config)
     paths = simulate_paths(bundle, test_frame, config.n_draws, config.seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,10 +192,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_backtest(args) -> int:
     config = _config_from_args(args)
-    _, _, test_frame = _load_frames(config)
+    _, test_frame = _load_frames(config)
     bundle, h = None, config.h
     if config.model != "markowitz":
         bundle = _load_bundle(config)
+        kind = bundle.config.model_kind
+        if kind != config.model:
+            raise ValidationError(f"model {config.model} does not match the bundle's kind "
+                                  f"{kind} (set model={kind} or --model {kind})")
         h = bundle.config.h
     out = _require_out(config)
     results = {}
@@ -283,29 +280,6 @@ def _schedule_from_weights_csv(path):
         return WeightSchedule(indices, weights), list(ticker_col)
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from None
-
-
-# each command's help line, argument adder and handler, for both parsers
-_COMMANDS = {
-    "ingest": ("validate a price CSV and print a summary", _ingest_arguments, _cmd_ingest),
-    "train": ("train a model and persist the bundle",
-              partial(_add_config_arguments, keys=(
-                  "data", "tickers", "split_date", "model", "h", "f", "m", "epochs", "lambda1",
-                  "lambda2", "lr", "beta1", "beta2", "seed", "regime", "allow_forward_bias",
-                  "out")),
-              _cmd_train),
-    "simulate": ("draw synthetic paths from a trained bundle",
-                 partial(_add_config_arguments, keys=(
-                     "data", "tickers", "split_date", "bundle", "n_draws", "seed",
-                     "allow_forward_bias", "out")),
-                 _cmd_simulate),
-    "backtest": ("backtest a model (and the Markowitz baseline)",
-                 partial(_add_config_arguments, keys=(
-                     "data", "tickers", "split_date", "model", "bundle", "h", "eta", "n_draws",
-                     "seed", "r_f", "allow_forward_bias", "out")),
-                 _cmd_backtest),
-    "report": ("render SVG plots from a backtest run directory", _report_arguments, _cmd_report),
-}
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ reproduced from it alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -39,7 +38,7 @@ class RunConfig:
     eta: int = REBALANCE_SETTINGS["balanced"]
     n_draws: int = 1000
     seed: int = TrainConfig.seed
-    r_f: float = 0.0
+    r_f: float = 0.0  # annual risk-free rate
     regime: str = TrainConfig.regime
     allow_forward_bias: bool = TrainConfig.allow_forward_bias
     bundle: str = ""
@@ -54,8 +53,9 @@ class RunConfig:
             raise ValidationError("epochs, n_draws, eta must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.r_f):
-            raise ValidationError(f"r_f must be finite, got {self.r_f}")
+        # beyond 100% a year either way, Sharpe ratios overflow or lose their meaning
+        if not -1.0 <= self.r_f <= 1.0:
+            raise ValidationError(f"r_f must be an annual rate in [-1, 1], got {self.r_f}")
 
     def ticker_list(self) -> list[str] | None:
         if not self.tickers:

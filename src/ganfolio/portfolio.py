@@ -221,7 +221,8 @@ def min_variance_weights(moments: MomentEstimate) -> np.ndarray:
 def max_sharpe_weights(moments: MomentEstimate, r_f: float = 0.0) -> np.ndarray:
     """Long-only max-Sharpe weights of each member: nonnegative, summing to 1 within 1e-10.
 
-    A member with no mean return above ``r_f`` takes its minimum-variance
+    ``r_f`` is per period, in the unit of the mean returns.  A member with
+    no mean return above ``r_f`` takes its minimum-variance
     point (c = 1 in the same program), solved in the same batch.
     """
     excess = moments.mean_returns - r_f

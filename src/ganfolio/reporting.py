@@ -126,9 +126,9 @@ def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.nda
 
     Columns named in ``text`` stay lists of strings; every other column is
     parsed into a float64 array.  A missing or unreadable file, no data rows,
-    a missing ``required`` column, a row of the wrong length, or a number
-    that is unparseable or not finite raises ValidationError naming the file
-    (and the row and column).
+    a repeated column name, a missing ``required`` column, a row of the wrong
+    length, or a number that is unparseable or not finite raises
+    ValidationError naming the file (and the row and column).
     """
     path = Path(path)
     with opened(path, "CSV") as handle:
@@ -136,6 +136,9 @@ def read_csv_columns(path, required=(), text=()) -> dict[str, list[str] | np.nda
     if len(rows) < 2:
         raise ValidationError(f"{path}: no data rows")
     header = rows[0]
+    for at, name in enumerate(header):
+        if name in header[:at]:
+            raise ValidationError(f"{path}: column {name!r} appears more than once")
     for name in required:
         if name not in header:
             raise ValidationError(f"{path}: missing column {name!r}")

@@ -289,6 +289,14 @@ class TestMarkowitzSchedule:
             s2 = markowitz_schedule(make_frame(perturbed), eta=6, h=10)
             assert np.array_equal(s1.weights[t_index], s2.weights[t_index]), t
 
+    def test_annual_risk_free_rate_allocates_at_its_daily_share(self):
+        frame = sinusoid_frame(3, days=40, seed=8)
+        s = markowitz_schedule(frame, eta=6, h=10, r_f=0.03)
+        for j, t in enumerate(s.rebalance_indices):
+            window = frame.prices[:, t - 11:t - 1]  # days t-10 .. t-1
+            expected = max_sharpe_weights(estimate_moments(simple_returns(window)), 0.03 / 252)
+            assert np.array_equal(s.weights[j], expected), t
+
     def test_dominant_asset_concentration(self):
         days = 41
         up = 100.0 * 1.03 ** np.arange(days)

@@ -491,10 +491,20 @@ class TestSimulateCommand:
         assert "truncate" in capsys.readouterr().err
 
 
-def full_parser_result(argv):
-    """stdout, stderr and exit code of the full command tree parsing ``argv``,
-    for an ``argv`` that it rejects or that names no command."""
-    parser = cli._build_parser()
+def call_main(argv, capsys):
+    """stdout, stderr and exit code of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exited:
+        code = exited.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def fresh_parser_result(argv):
+    """stdout, stderr and exit code of a newly built command tree parsing
+    ``argv``, for an ``argv`` that it rejects or that names no command."""
+    parser = cli._build_parser.__wrapped__()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -508,20 +518,47 @@ def full_parser_result(argv):
     return out.getvalue(), err.getvalue(), code
 
 
-@pytest.mark.parametrize("argv", [
+PARSER_CASES = [
     [], ["-h"], ["--version"],
     *([command, "-h"] for command in ("ingest", "train", "simulate", "backtest", "report")),
     ["bogus"], ["backtest", "--bogus", "1"], ["backtest", "--h", "x"], ["ingest"],
     ["train", "--dat", "x"],
-], ids=lambda argv: " ".join(argv) or "no_arguments")
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no_arguments")
 def test_output_and_exit_code_equal_the_full_parsers(argv, capsys):
-    # main parses a named command with that command's parser alone
+    # main's parser, reused by every earlier test of the process, answers as a new one does
+    assert call_main(argv, capsys) == fresh_parser_result(argv)
+
+
+def test_one_parser_serves_every_command_of_a_process(data_csv, tmp_path, capsys):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    backtest = ["backtest", "--data", str(data_csv), "--split-date", SPLIT, "--model",
+                "markowitz", "--h", "8", "--eta", "4", "--out", str(tmp_path / "mk")]
+    ingest = ["ingest", "--data", str(data_csv)]
+    # every parser case, each followed by a command that parses and runs
+    calls = [argv for at, case in enumerate(PARSER_CASES)
+             for argv in (case, (backtest, ingest)[at % 2])]
+    parsed, parse = [], parser.parse_args
+
+    def recording(argv):
+        parsed.append(parse(argv))
+        return parsed[-1]
+
+    parser.parse_args = recording
+    first = {}
     try:
-        code = main(argv)
-    except SystemExit as exited:
-        code = exited.code
-    out, err = capsys.readouterr()
-    assert (out, err, code) == full_parser_result(argv)
+        for argv in calls * 2:
+            parsed.clear()
+            result = call_main(argv, capsys)
+            assert first.setdefault(tuple(argv), result) == result, argv
+            if parsed:  # nothing left over from another command's arguments
+                assert vars(parsed[0]) == vars(cli._build_parser.__wrapped__().parse_args(argv))
+    finally:
+        del parser.parse_args
+    assert first[tuple(backtest)][2] == first[tuple(ingest)][2] == 0
 
 
 class TestFlagPrefixes:
@@ -549,6 +586,8 @@ class TestOutOfRangeFloats:
 
     @pytest.mark.parametrize("command, flag", [
         ("backtest", "--r-f=nan"), ("backtest", "--r-f=inf"),
+        ("backtest", "--r-f=1e308"), ("backtest", "--r-f=-1e308"), ("backtest", "--r-f=-1e300"),
+        ("backtest", "--r-f=1.5"),
         ("train", "--lr=nan"), ("train", "--lr=0"),
         ("train", "--beta1=-0.5"), ("train", "--beta2=1"),
         ("train", "--lambda1=inf"), ("train", "--lambda2=nan"),
@@ -560,7 +599,8 @@ class TestOutOfRangeFloats:
         assert main([command, "--data", str(data_csv), "--split-date", SPLIT, *settings,
                      flag, "--out", str(out)]) == 2
         key = flag.split("=")[0].removeprefix("--").replace("-", "_")
-        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
         assert not list(out.glob("*"))
 
 
@@ -618,6 +658,9 @@ class TestBacktestAndReport:
         ("scatter.csv", "annual_return", "bad cell"),
         ("weights_cgan.csv", "weight", "missing column"),
         ("weights_cgan.csv", "weight", "bad cell"),
+        ("value_series.csv", "cgan", "repeated column"),
+        ("scatter.csv", "annual_return", "repeated column"),
+        ("weights_cgan.csv", "weight", "repeated column"),
     ])
     def test_malformed_csv_exit_2_names_file_and_column(self, run_dir, tmp_path, capsys,
                                                         name, column, fault):
@@ -630,6 +673,9 @@ class TestBacktestAndReport:
         if fault == "missing column":
             rows = [row[:at] + row[at + 1:] for row in rows]
             expected = f"{path}: missing column {column!r}"
+        elif fault == "repeated column":
+            rows = [row + [row[at]] for row in rows]
+            expected = f"{path}: column {column!r} appears more than once"
         else:
             rows[2][at] = "abc"
             expected = f"{path}: unparseable value 'abc' at row 3, column {column!r}"
@@ -662,6 +708,39 @@ class TestBacktestAndReport:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 2
+
+
+class TestBacktestModelMatchesBundle:
+    """``backtest`` labels a bundle's results with ``model``, so it must name the bundle's kind."""
+
+    @pytest.fixture(scope="class")
+    def acgan_bundle(self, data_csv, tmp_path_factory):
+        out = tmp_path_factory.mktemp("acgan")
+        assert main(["train", "--data", str(data_csv), "--split-date", SPLIT,
+                     "--model", "acgan", *TRAIN_FLAGS, "--out", str(out)]) == 0
+        return out / "bundle.gfa"
+
+    def backtest(self, data_csv, bundle, out, model):
+        return main(["backtest", "--data", str(data_csv), "--split-date", SPLIT, *model,
+                     "--bundle", str(bundle), "--eta", "4", "--n-draws", "2", "--out", str(out)])
+
+    @pytest.mark.parametrize("model", [[], ["--model", "cgan"]], ids=["default", "cgan"])
+    def test_other_kind_exit_2_before_the_work(self, data_csv, acgan_bundle, tmp_path, capsys,
+                                               monkeypatch, model):
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("ran"))
+        out = tmp_path / "bt"
+        assert self.backtest(data_csv, acgan_bundle, out, model) == 2
+        assert capsys.readouterr().err == ("error: model cgan does not match the bundle's kind "
+                                           "acgan (set model=acgan or --model acgan)\n")
+        assert not out.exists()
+
+    def test_matching_kind_labels_the_results(self, data_csv, acgan_bundle, tmp_path, capsys):
+        out = tmp_path / "bt"
+        assert self.backtest(data_csv, acgan_bundle, out, ["--model", "acgan"]) == 0
+        assert capsys.readouterr().out.startswith("acgan: final value ")
+        assert (out / "weights_acgan.csv").exists() and not (out / "weights_cgan.csv").exists()
+        assert (out / "value_series.csv").read_text().splitlines()[0] == "date,acgan,markowitz"
+        assert "model=acgan" in (out / "config.effective").read_text().splitlines()
 
 
 class TestEavesdropGating:

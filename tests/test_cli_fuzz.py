@@ -27,7 +27,8 @@ from oracles import cell_by_cell_price_csv
 SPLIT = "2020-01-01+00026"  # leaves 20 test days: (20-8) divisible by 4
 INSERTS = {"comma": b",", "newline": b"\n", "nan": b"nan", "1e999": b"1e999", "quote": b'"',
            "cr": b"\r", "nul": b"\0"}
-MUTATIONS = ("truncate", "flip", "duplicate_line", "delete_line", *INSERTS, "huge_cell")
+MUTATIONS = ("truncate", "flip", "duplicate_line", "delete_line", *INSERTS, "huge_cell",
+             "repeat_header_cell")
 REPORT_CSVS = ("value_series.csv", "scatter.csv", "weights_cgan.csv", "weights_markowitz.csv")
 TARGETS = ("ingest", "backtest", "config", "bundle", *REPORT_CSVS)
 CASES_PER_MUTATION = 2
@@ -43,6 +44,13 @@ def mutate(data: bytes, mutation: str, rng: random.Random) -> bytes:
     if mutation in INSERTS:
         at = rng.randrange(len(data) + 1)
         return data[:at] + INSERTS[mutation] + data[at:]
+    if mutation == "repeat_header_cell":  # one cell of the first line takes another's text
+        body = data.splitlines()[0]
+        cells = body.split(b",")
+        if len(cells) > 1:
+            source, target = rng.sample(range(len(cells)), 2)
+            cells[target] = cells[source]
+        return b",".join(cells) + data[len(body):]
     lines = data.splitlines(keepends=True)
     at = rng.randrange(len(lines))
     if mutation == "duplicate_line":
